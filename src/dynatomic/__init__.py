@@ -22,7 +22,6 @@ from .numberfield import (
     AlgElement,
     QuadraticElement,
     QuotientAlgebra,
-    alg_mul,
     apply_phi,
     as_quadratic,
     minimal_polynomial,
@@ -49,7 +48,6 @@ from .property_a import (
     check_aggregate,
     check_point,
     check_quadratic_cycle,
-    irreducibility_sufficient,
     trace_test,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "QuadraticElement",
     "QuotientAlgebra",
     "Rational",
-    "alg_mul",
     "apply_phi",
     "as_quadratic",
     "check_aggregate",
@@ -84,7 +81,6 @@ __all__ = [
     "format_bipoly",
     "format_poly",
     "format_rational",
-    "irreducibility_sufficient",
     "is_irreducible",
     "is_mersenne_prime_exponent",
     "iterate",

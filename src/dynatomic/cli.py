@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 computation/guard error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -25,14 +26,7 @@ from .maps import MapSpec, dynatomic_poly, dynatomic_poly_generic
 from .polynomials import format_bipoly, format_poly, parse_poly
 from .property_a import check_aggregate
 from .rationals import format_rational, parse_rational
-from .scan import (
-    run_scan,
-    summarize,
-    summary_json_line,
-    summary_text_lines,
-    write_csv,
-    write_jsonl,
-)
+from .scan import run_scan, summary_text_lines, write_records
 from .verify import run_corpus
 
 USAGE_EXIT = 1
@@ -66,20 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _period(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"period must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dynatomic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_phi = sub.add_parser("phi", help="print a dynatomic polynomial")
     p_phi.add_argument("-d", "--degree", type=int, default=2, help="map degree (>= 2)")
-    p_phi.add_argument("-N", "--period", type=_period, required=True)
+    p_phi.add_argument("-N", "--period", type=_positive_int, required=True)
     group = p_phi.add_mutually_exclusive_group(required=True)
     group.add_argument("-c", type=_rational, help="parameter as a/b")
     group.add_argument("--generic", action="store_true", help="keep c symbolic")
@@ -88,21 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor = sub.add_parser("factor", help="factor a polynomial over Q")
     p_factor.add_argument("poly", nargs="?", help="polynomial text, e.g. 'z^2 + z + 2'")
     p_factor.add_argument("-d", "--degree", type=int, default=2)
-    p_factor.add_argument("-N", "--period", type=_period)
+    p_factor.add_argument("-N", "--period", type=_positive_int)
     p_factor.add_argument("-c", type=_rational)
     p_factor.add_argument("--format", choices=("text", "json"), default="text")
     p_factor.set_defaults(func=cmd_factor)
 
     p_cycles = sub.add_parser("cycles", help="extract periodic cycles algebraically")
     p_cycles.add_argument("-d", "--degree", type=int, default=2)
-    p_cycles.add_argument("-N", "--period", type=_period, required=True)
+    p_cycles.add_argument("-N", "--period", type=_positive_int, required=True)
     p_cycles.add_argument("-c", type=_rational, required=True)
     p_cycles.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     p_cycles.set_defaults(func=cmd_cycles)
 
     p_check = sub.add_parser("check", help="decide the orbit criterion for (d, c, N)")
     p_check.add_argument("-d", "--degree", type=int, default=2)
-    p_check.add_argument("-N", "--period", type=_period, required=True)
+    p_check.add_argument("-N", "--period", type=_positive_int, required=True)
     p_check.add_argument("-c", type=_rational, required=True)
     p_check.add_argument(
         "--include-rational-points",
@@ -117,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "-N",
         "--period",
-        type=_period,
+        type=_positive_int,
         action="append",
         required=True,
         help="repeatable: one record per (c, N)",
@@ -255,22 +242,22 @@ def cmd_scan(args) -> int:
         include_rational=args.include_rational_points,
         timing=args.timing,
     )
-    writer = write_jsonl if args.format == "jsonl" else write_csv
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            seen = writer(records, handle)
-            if args.format == "jsonl":
-                handle.write(summary_json_line(summarize(seen)) + "\n")
-        for line in summary_text_lines(summarize(seen)):
-            print(line)
-        return 0
-    seen = writer(records, sys.stdout)
-    summary = summarize(seen)
-    if args.format == "jsonl":
-        print(summary_json_line(summary))
-    else:
+    try:
+        target = (
+            open(args.output, "w", encoding="utf-8")
+            if args.output
+            else contextlib.nullcontext(sys.stdout)
+        )
+    except OSError as exc:
+        _require(False, f"cannot open output: {exc}")
+    with target as stream:
+        summary = write_records(records, stream, args.format)
+    # the text summary goes beside the records: stdout when they went to a
+    # file, stderr when CSV fills stdout (JSONL already carries its own)
+    if args.output or args.format == "csv":
+        notes = sys.stdout if args.output else sys.stderr
         for line in summary_text_lines(summary):
-            sys.stderr.write(line + "\n")
+            notes.write(line + "\n")
     return 0
 
 

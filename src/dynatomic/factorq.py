@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import ceil, isqrt, log2
 from typing import Iterator
 
 from .polynomials import Poly, _convolve, _zz_normalize, _zz_primitive
+from .rationals import smallest_prime_factor
 
 # -- arithmetic mod p on coefficient lists ----------------------------------
 
@@ -296,12 +297,7 @@ def _hensel_lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[li
 
 
 def _primes() -> Iterator[int]:
-    yield 2
-    n = 3
-    while True:
-        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
-            yield n
-        n += 2
+    return (n for n in count(2) if smallest_prime_factor(n) == n)
 
 
 def _zz_exact_div_or_none(f: list[int], g: list[int]) -> list[int] | None:

@@ -235,11 +235,6 @@ class AlgElement:
         return NotImplemented
 
 
-def alg_mul(x: AlgElement, y: AlgElement) -> AlgElement:
-    """Product in the shared parent algebra (ParentMismatchError otherwise)."""
-    return x * y
-
-
 def apply_phi(x: AlgElement, d: int, c: Fraction) -> AlgElement:
     """Image of x under z -> z^d + c, reduced in the algebra."""
     if d < 2:
@@ -337,42 +332,6 @@ def subfield_degree(generators: Sequence[AlgElement]) -> int:
             if space.add(w.coordinates()):
                 queue.append(w)
     return space.rank
-
-
-def subfield_degree_sweep(generators: Sequence[AlgElement], max_lambda: int | None = None) -> int:
-    """Subfield degree via the primitive-element sweep s = sum g_i * lam^(i-1).
-
-    The sweep over lam in {0..D^2} with early exit mirrors the design the
-    span-based `subfield_degree` replaces; kept as an independent cross-check.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    parent = generators[0].parent
-    for g in generators[1:]:
-        if g.parent is not parent and g.parent != parent:
-            raise ParentMismatchError("generators belong to different algebras")
-    d = parent.degree
-    limit = d * d if max_lambda is None else max_lambda
-    best = 1
-    streak = 0
-    for lam in range(limit + 1):
-        s = parent.zero()
-        scale = 1
-        for g in generators:
-            s = s + g * scale
-            scale *= lam
-        m = minimal_polynomial(s).degree()
-        if m > best:
-            best, streak = m, 1
-        elif m == best:
-            streak += 1
-        else:
-            streak = 0
-        if best == d:
-            break
-        if d % best == 0 and streak >= d:
-            break
-    return best
 
 
 # -- quadratic normal forms --------------------------------------------------

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from .cycles import CycleRecord, cycles_from_dynatomic
 from .errors import ConsistencyError
-from .factorq import is_irreducible
-from .maps import MapSpec, check_degree_guard, dynatomic_degree, dynatomic_poly
+from .maps import MapSpec, check_degree_guard, dynatomic_degree
 from .numberfield import subfield_degree
 from .polynomials import Poly
 from .rationals import format_rational, naive_height
@@ -104,18 +103,6 @@ def check_quadratic_cycle(record: CycleRecord, n: int | None = None) -> bool:
 def trace_test(record: CycleRecord) -> bool:
     """True iff the cycle trace (= e_1) is rational."""
     return record.trace.is_rational()
-
-
-def irreducibility_sufficient(spec: MapSpec, n: int) -> bool:
-    """True iff the period-n dynatomic polynomial at c is irreducible over Q.
-
-    For d = 2 irreducibility is a sufficient condition for the aggregate
-    criterion to hold; the aggregate still cross-validates instead of
-    assuming it.
-    """
-    if n < 2:
-        raise ValueError(f"period must be >= 2, got {n}")
-    return is_irreducible(dynatomic_poly(spec, n))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Rational numbers are `fractions.Fraction` throughout: arbitrary-precision,
 always reduced, positive denominator, hashable.  This module adds the naive
 height, a height-ordered enumeration of Q, and small arithmetic helpers
-(Mobius function, divisors, Mersenne primality).
+(Mobius function, divisors, smallest prime factor, Mersenne primality).
 """
 
 from __future__ import annotations
@@ -68,15 +68,16 @@ def mobius(n: int) -> int:
     return result
 
 
-def _is_prime(n: int) -> bool:
+def smallest_prime_factor(n: int) -> int:
+    """Least prime dividing n >= 2, by trial division; n itself iff n is prime."""
     if n < 2:
-        return False
+        raise ValueError(f"smallest_prime_factor requires n >= 2, got {n}")
     p = 2
     while p * p <= n:
         if n % p == 0:
-            return False
+            return p
         p += 1
-    return True
+    return n
 
 
 def is_mersenne_prime_exponent(n: int) -> bool:
@@ -87,7 +88,7 @@ def is_mersenne_prime_exponent(n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    if not _is_prime(n):
+    if n < 2 or smallest_prime_factor(n) != n:
         return False
     if n == 2:
         return True

@@ -1,10 +1,12 @@
 """Height-ordered parameter scan with deterministic, machine-readable output.
 
 Parameters c stream in (height, numerator, denominator) order; each (c, N)
-pair yields one record.  Workers are pure functions of their inputs, so the
-byte content of a scan is identical no matter how many jobs run it.  Timing
-is off by default for exactly that reason: runtime_ms stays null unless
-explicitly requested.
+pair yields one record.  `map_cells` is the one parallel sweep engine: the
+scan and the verification corpus both run their cells through it.  Workers
+are pure functions of their inputs and results come back in input order, so
+the byte content of a scan is identical no matter how many jobs run it.
+Timing is off by default for exactly that reason: runtime_ms stays null
+unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .maps import MapSpec
 from .property_a import FAILS, HOLDS, VACUOUS, check_aggregate
@@ -98,6 +100,20 @@ def scan_one(
     )
 
 
+def map_cells(fn: Callable, cells: Iterable, jobs: int) -> Iterator:
+    """Yield fn(cell) for every cell, lazily and in input order.
+
+    With jobs > 1 the cells run in a pool of that many processes, handed out
+    four at a time; fn must then be a module-level function so workers can
+    unpickle it, and cells and results must pickle.
+    """
+    if jobs <= 1:
+        yield from map(fn, cells)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, cells, chunksize=4)
+
+
 def _scan_cell(args: tuple[int, Fraction, tuple[int, ...], bool, bool]) -> list[ScanRecord]:
     d, c, periods, include_rational, timing = args
     return [scan_one(d, c, n, include_rational, timing) for n in periods]
@@ -115,17 +131,12 @@ def run_scan(
     periods = tuple(sorted(set(periods)))
     if not periods:
         raise ValueError("need at least one period")
-    tasks = (
+    cells = (
         (d, c, periods, include_rational, timing)
         for c in enumerate_rationals_by_height(max_height)
     )
-    if jobs <= 1:
-        for task in tasks:
-            yield from _scan_cell(task)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for cell in pool.map(_scan_cell, tasks, chunksize=4):
-            yield from cell
+    for records in map_cells(_scan_cell, cells, jobs):
+        yield from records
 
 
 def summarize(records: Iterable[ScanRecord]) -> dict[int, dict[str, object]]:
@@ -149,22 +160,28 @@ def summarize(records: Iterable[ScanRecord]) -> dict[int, dict[str, object]]:
     return out
 
 
-def write_jsonl(records: Iterable[ScanRecord], stream: TextIO) -> list[ScanRecord]:
-    """Stream records as JSON lines; returns them for summarizing."""
-    seen = []
-    for rec in records:
-        stream.write(json.dumps(rec.to_json_dict()) + "\n")
-        seen.append(rec)
-    return seen
+def write_records(
+    records: Iterable[ScanRecord], stream: TextIO, fmt: str
+) -> dict[int, dict[str, object]]:
+    """Stream records to `stream` as "jsonl" or "csv"; return the summary of them.
 
+    JSONL ends with the summary line in the same stream.  CSV gets a header
+    row and no summary, which would break the table; the caller shows it.
+    """
+    csv = fmt == "csv"
+    if csv:
+        stream.write(",".join(CSV_COLUMNS) + "\n")
 
-def write_csv(records: Iterable[ScanRecord], stream: TextIO) -> list[ScanRecord]:
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    seen = []
-    for rec in records:
-        stream.write(rec.to_csv_row() + "\n")
-        seen.append(rec)
-    return seen
+    def written() -> Iterator[ScanRecord]:
+        for rec in records:
+            line = rec.to_csv_row() if csv else json.dumps(rec.to_json_dict())
+            stream.write(line + "\n")
+            yield rec
+
+    summary = summarize(written())
+    if not csv:
+        stream.write(summary_json_line(summary) + "\n")
+    return summary
 
 
 def summary_json_line(summary: dict[int, dict[str, object]]) -> str:

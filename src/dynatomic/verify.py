@@ -3,13 +3,12 @@
 Each item recomputes one family of expectations from scratch through the
 public pipeline and compares with zero tolerance.  Expensive report batches
 (the height-ordered sweeps) are computed once per corpus run and shared
-between items; with jobs > 1 they are computed in parallel with identical
-results.
+between items; they run through the scan's `map_cells` engine, so jobs > 1
+computes them in parallel with identical results.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -32,7 +31,9 @@ from .rationals import (
     enumerate_rationals_by_height,
     format_rational,
     is_mersenne_prime_exponent,
+    smallest_prime_factor,
 )
+from .scan import map_cells
 
 
 @dataclass(frozen=True)
@@ -48,42 +49,24 @@ class ItemResult:
         return out
 
 
-def _report_cell(args: tuple[int, str, int]) -> tuple[str, PropertyAReport]:
-    d, c_text, n = args
-    c = Fraction(c_text)
-    return c_text, check_aggregate(MapSpec(d, c), n)
+def _report_cell(key: tuple[int, Fraction, int]) -> tuple[tuple, PropertyAReport]:
+    d, c, n = key
+    return key, check_aggregate(MapSpec(d, c), n)
 
 
 class CorpusContext:
-    """Caches aggregate reports shared by several corpus items."""
+    """Caches aggregate reports shared by several corpus items, keyed by (d, c, N)."""
 
     def __init__(self, jobs: int = 1):
-        self.jobs = max(1, jobs)
-        self._reports: dict[tuple[int, str, int], PropertyAReport] = {}
-
-    def report(self, d: int, c: Fraction, n: int) -> PropertyAReport:
-        key = (d, format_rational(c), n)
-        if key not in self._reports:
-            self._reports[key] = check_aggregate(MapSpec(d, c), n)
-        return self._reports[key]
+        self.jobs = jobs
+        self._reports: dict[tuple[int, Fraction, int], PropertyAReport] = {}
 
     def sweep(self, d: int, n: int, max_height: int) -> list[tuple[Fraction, PropertyAReport]]:
         cs = list(enumerate_rationals_by_height(max_height))
-        missing = [
-            (d, format_rational(c), n)
-            for c in cs
-            if (d, format_rational(c), n) not in self._reports
-        ]
+        missing = [(d, c, n) for c in cs if (d, c, n) not in self._reports]
         if missing:
-            if self.jobs > 1:
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    for c_text, report in pool.map(_report_cell, missing, chunksize=4):
-                        self._reports[(d, c_text, n)] = report
-            else:
-                for args in missing:
-                    c_text, report = _report_cell(args)
-                    self._reports[(d, c_text, n)] = report
-        return [(c, self._reports[(d, format_rational(c), n)]) for c in cs]
+            self._reports.update(map_cells(_report_cell, missing, self.jobs))
+        return [(c, self._reports[(d, c, n)]) for c in cs]
 
 
 def _check(conditions: Iterable[tuple[bool, str]]) -> tuple[bool, list[str]]:
@@ -152,15 +135,6 @@ def item_reducible_at_minus_two(ctx: CorpusContext) -> ItemResult:
     return ItemResult("reducible-at-minus-two", passed, tuple(details))
 
 
-def _small_factor(n: int) -> int:
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
-
-
 def item_mersenne_reducible(ctx: CorpusContext) -> ItemResult:
     """At c = 0: reducible when 2^N - 1 is composite (N = 4, 6 by factoring, 11 by witness)."""
     conditions = []
@@ -174,7 +148,7 @@ def item_mersenne_reducible(ctx: CorpusContext) -> ItemResult:
             )
         )
     m = 2**11 - 1
-    p = _small_factor(m)
+    p = smallest_prime_factor(m)
     conditions.append(
         (
             not is_mersenne_prime_exponent(11) and m % p == 0 and p < m,

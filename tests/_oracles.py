@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: root clustering runs at
 200+ bits through mpmath and candidate factors are validated by exact
 division only, so a reducibility verdict is an exact certificate and an
-irreducibility verdict exhausts every root subset.
+irreducibility verdict exhausts every root subset.  The primitive-element
+sweep gets subfield degrees from minimal polynomials alone, independent of
+the span computation in `numberfield.subfield_degree`.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Sequence
 
 import mpmath
 
-from dynatomic.errors import NonExactDivisionError
+from dynatomic.errors import NonExactDivisionError, ParentMismatchError
+from dynatomic.numberfield import AlgElement, minimal_polynomial
 from dynatomic.polynomials import Poly
 
 # 70 decimal digits ~ 230 bits
@@ -105,3 +109,41 @@ def naive_gcd(f: Poly, g: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
+
+
+def subfield_degree_sweep(
+    generators: Sequence[AlgElement], max_lambda: int | None = None
+) -> int:
+    """Subfield degree via the primitive-element sweep s = sum g_i * lam^(i-1).
+
+    The sweep over lam in {0..D^2} with early exit mirrors the design the
+    span-based `subfield_degree` replaces; kept as an independent cross-check.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    parent = generators[0].parent
+    for g in generators[1:]:
+        if g.parent is not parent and g.parent != parent:
+            raise ParentMismatchError("generators belong to different algebras")
+    d = parent.degree
+    limit = d * d if max_lambda is None else max_lambda
+    best = 1
+    streak = 0
+    for lam in range(limit + 1):
+        s = parent.zero()
+        scale = 1
+        for g in generators:
+            s = s + g * scale
+            scale *= lam
+        m = minimal_polynomial(s).degree()
+        if m > best:
+            best, streak = m, 1
+        elif m == best:
+            streak += 1
+        else:
+            streak = 0
+        if best == d:
+            break
+        if d % best == 0 and streak >= d:
+            break
+    return best

@@ -151,6 +151,17 @@ class TestScanCommand:
         assert json.loads(lines[-1])["summary"]["2"]["records"] == len(lines) - 1
         assert "# summary N=2" in out
 
+    def test_unopenable_output_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "scan.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "scan", "-d", "2", "-N", "2", "--max-height", "2", "--output", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dynatomic: error: cannot open output: ")
+        assert err.count("\n") == 1
+
     def test_repeatable_periods(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "-d", "2", "-N", "2", "-N", "3", "--max-height", "1"

@@ -190,6 +190,9 @@ class TestIsIrreducible:
         f = dynatomic_poly(MapSpec(2, Fraction(0)), n)
         assert is_irreducible(f) is expected
 
+    def test_dynatomic_at_minus_two(self):
+        assert is_irreducible(dynatomic_poly(MapSpec(2, Fraction(-2)), 3)) is False
+
 
 class TestFactorization:
     def test_expand_and_degree_bookkeeping(self):

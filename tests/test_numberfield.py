@@ -8,15 +8,14 @@ from dynatomic.factorq import is_irreducible
 from dynatomic.numberfield import (
     QuadraticElement,
     QuotientAlgebra,
-    alg_mul,
     apply_phi,
     as_quadratic,
     minimal_polynomial,
     realize_quadratic,
     subfield_degree,
-    subfield_degree_sweep,
 )
 from dynatomic.polynomials import Poly
+from _oracles import subfield_degree_sweep
 
 Z = Poly.identity()
 CYCLO7 = Poly([1] * 7)
@@ -47,7 +46,7 @@ class TestAlgebraArithmetic:
     def test_square_root_of_two(self):
         a = QuotientAlgebra(Z**2 - 2)
         x = a.generator()
-        assert alg_mul(x, x) == a.element(2)
+        assert x * x == a.element(2)
 
     def test_reduction_by_modulus(self):
         a = QuotientAlgebra(Z**2 + Z + 2)
@@ -64,7 +63,7 @@ class TestAlgebraArithmetic:
         x = QuotientAlgebra(Z**2 - 2).generator()
         y = QuotientAlgebra(Z**2 - 3).generator()
         with pytest.raises(ParentMismatchError):
-            alg_mul(x, y)
+            x * y
 
     def test_field_inverse_via_power(self):
         # x^(q-1)-style sanity: x * x^-1 through minimal polynomial relation

@@ -4,7 +4,8 @@ import pytest
 
 from dynatomic.cycles import CycleRecord, cycles_from_dynatomic, quadratic_cycles
 from dynatomic.errors import DegreeGuardError
-from dynatomic.maps import MapSpec
+from dynatomic.factorq import is_irreducible
+from dynatomic.maps import MapSpec, dynatomic_poly
 from dynatomic.numberfield import QuotientAlgebra
 from dynatomic.polynomials import Poly
 from dynatomic.property_a import (
@@ -16,7 +17,6 @@ from dynatomic.property_a import (
     check_aggregate,
     check_point,
     check_quadratic_cycle,
-    irreducibility_sufficient,
     trace_test,
 )
 from dynatomic.rationals import enumerate_rationals_by_height
@@ -142,18 +142,22 @@ class TestTraceTest:
 
 
 class TestIrreducibilitySufficient:
+    """For d = 2 an irreducible dynatomic polynomial is sufficient for the
+    aggregate to hold; a reducible one decides nothing by itself."""
+
     def test_cyclotomic_case(self):
-        assert irreducibility_sufficient(MapSpec(2, Fraction(0)), 3) is True
+        spec = MapSpec(2, Fraction(0))
+        assert is_irreducible(dynatomic_poly(spec, 3)) is True
+        report = check_aggregate(spec, 3)
+        assert report.factor_degrees == (6,)
+        assert report.aggregate == HOLDS
 
     def test_mersenne_composite_case(self):
-        assert irreducibility_sufficient(MapSpec(2, Fraction(0)), 4) is False
-
-    def test_minus_two_case(self):
-        assert irreducibility_sufficient(MapSpec(2, Fraction(-2)), 3) is False
-
-    def test_rejects_period_one(self):
-        with pytest.raises(ValueError):
-            irreducibility_sufficient(MapSpec(2, Fraction(0)), 1)
+        spec = MapSpec(2, Fraction(0))
+        assert is_irreducible(dynatomic_poly(spec, 4)) is False
+        report = check_aggregate(spec, 4)
+        assert report.factor_degrees == (4, 8)
+        assert report.aggregate == HOLDS
 
 
 class TestCheckAggregate:

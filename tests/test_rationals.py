@@ -12,6 +12,7 @@ from dynatomic.rationals import (
     naive_height,
     parse_rational,
     rationals_of_height,
+    smallest_prime_factor,
 )
 from _oracles import brute_force_rational_count
 
@@ -73,6 +74,15 @@ class TestNaiveHeight:
     @given(st.fractions(max_denominator=10**6).filter(lambda q: q != 0))
     def test_inversion_invariance(self, q):
         assert naive_height(q) == naive_height(1 / q)
+
+
+class TestSmallestPrimeFactor:
+    def test_primes_and_a_composite(self):
+        primes = [n for n in range(2, 30) if smallest_prime_factor(n) == n]
+        assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert smallest_prime_factor(2047) == 23  # 2^11 - 1 = 23 * 89
+        with pytest.raises(ValueError):
+            smallest_prime_factor(1)
 
 
 class TestMersenne:

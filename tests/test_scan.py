@@ -11,15 +11,13 @@ from dynatomic.scan import (
     scan_one,
     summarize,
     summary_json_line,
-    write_csv,
-    write_jsonl,
+    write_records,
 )
 
 
 def render_jsonl(records):
     buf = io.StringIO()
-    seen = write_jsonl(records, buf)
-    buf.write(summary_json_line(summarize(seen)) + "\n")
+    write_records(records, buf, "jsonl")
     return buf.getvalue()
 
 
@@ -93,21 +91,24 @@ class TestWriters:
     def test_jsonl_roundtrip(self):
         records = list(run_scan(2, [2], max_height=3))
         buf = io.StringIO()
-        write_jsonl(records, buf)
+        summary = write_records(iter(records), buf, "jsonl")
         lines = buf.getvalue().splitlines()
-        assert len(lines) == len(records)
+        assert len(lines) == len(records) + 1
         for line, rec in zip(lines, records):
             data = json.loads(line)
             assert Fraction(data["c"]) == rec.c
             assert data["height"] == naive_height(rec.c)
             assert data["aggregate"] == rec.aggregate
             assert data["runtime_ms"] is None
+        assert summary == summarize(records)
+        assert lines[-1] == summary_json_line(summary)
 
     def test_csv_shape(self):
         records = list(run_scan(2, [2], max_height=2))
         buf = io.StringIO()
-        write_csv(records, buf)
+        summary = write_records(iter(records), buf, "csv")
         lines = buf.getvalue().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == len(records) + 1
         assert all(line.count(",") == len(CSV_COLUMNS) - 1 for line in lines)
+        assert summary == summarize(records)
