@@ -7,7 +7,6 @@ periodic point, with a height-ordered parameter scanner on top.
 """
 
 from .rationals import (
-    Rational,
     divisors,
     enumerate_rationals_by_height,
     format_rational,
@@ -64,7 +63,6 @@ __all__ = [
     "PropertyAReport",
     "QuadraticElement",
     "QuotientAlgebra",
-    "Rational",
     "apply_phi",
     "as_quadratic",
     "check_aggregate",

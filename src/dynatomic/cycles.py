@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import NonPeriodicError
 from .factorq import factor_over_q
-from .maps import MapSpec, check_degree_guard, dynatomic_poly
+from .maps import MapSpec, dynatomic_poly
 from .numberfield import (
     AlgElement,
     QuadraticElement,
@@ -220,7 +220,6 @@ def cycles_from_dynatomic(spec: MapSpec, n: int) -> list[CycleRecord]:
     """
     if n < 1:
         raise ValueError(f"period must be >= 1, got {n}")
-    check_degree_guard(spec.d, n)
     phi_n = dynatomic_poly(spec, n)
     factorization = factor_over_q(phi_n)
     records = [

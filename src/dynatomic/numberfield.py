@@ -16,7 +16,7 @@ from math import gcd as int_gcd
 from typing import Sequence
 
 from .errors import NotQuadraticIrrational, ParentMismatchError
-from .polynomials import Poly, _convolve
+from .polynomials import Poly, _convolve, _power
 
 _ZERO = Fraction(0)
 
@@ -218,14 +218,7 @@ class AlgElement:
     def __pow__(self, n: int) -> AlgElement:
         if n < 0:
             raise ValueError("negative powers are not defined in the algebra")
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, self.parent.one())
 
     def _coerce(self, other) -> "AlgElement":
         if isinstance(other, AlgElement):

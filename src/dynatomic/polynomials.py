@@ -43,10 +43,107 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-class Poly:
-    """Immutable dense polynomial over Q in one variable (conventionally z)."""
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply; `one` is the ring's identity."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+class _Dense:
+    """Ring code shared by `Poly` and `BiPoly`: immutable dense coefficient tuples.
+
+    `_coeffs` holds the coefficients by power with no trailing zeros.  A
+    subclass supplies `__init__`, `__mul__` and a `_coerce` staticmethod that
+    turns an operand into an instance or returns NotImplemented; equality and
+    the additive operations coerce through it, so `a == b` exactly when
+    `(a - b).is_zero()`.
+    """
 
     __slots__ = ("_coeffs",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self._coeffs,))
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._coeffs
+
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self._coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        # a constant equals the number it holds, so it must hash like it too
+        if len(self._coeffs) <= 1:
+            return hash(self._coeffs[0] if self._coeffs else 0)
+        return hash(self._coeffs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._coeffs)!r})"
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)([-c for c in self._coeffs])
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        return _power(self, n, self._coerce(1))
+
+
+class Poly(_Dense):
+    """Immutable dense polynomial over Q in one variable (conventionally z)."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
@@ -54,17 +151,15 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return (Poly, (self._coeffs,))
+    @staticmethod
+    def _coerce(value) -> Poly:
+        if isinstance(value, Poly):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Poly.constant(value)
+        return NotImplemented
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> Poly:
-        return cls(())
 
     @classmethod
     def one(cls) -> Poly:
@@ -79,22 +174,7 @@ class Poly:
     def constant(cls, q: Fraction | int) -> Poly:
         return cls((q,))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: Fraction | int = 1) -> Poly:
-        return cls([0] * power + [coeff])
-
     # -- structure ---------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def is_constant(self) -> bool:
         return len(self._coeffs) <= 1
@@ -114,58 +194,13 @@ class Poly:
             return self._coeffs[power]
         return _ZERO
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
-
     def __str__(self) -> str:
         return format_poly(self)
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> Poly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly:
-        return Poly([-c for c in self._coeffs])
-
-    def __sub__(self, other) -> Poly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> Poly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> Poly:
-        other = _coerce(other)
+        other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self._coeffs or not other._coeffs:
@@ -177,22 +212,6 @@ class Poly:
         return Poly([Fraction(n, den) for n in nums])
 
     __rmul__ = __mul__
-
-    def scale(self, q: Fraction | int) -> Poly:
-        q = Fraction(q)
-        return Poly([c * q for c in self._coeffs])
-
-    def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def derivative(self) -> Poly:
         return Poly([i * c for i, c in enumerate(self._coeffs)][1:])
@@ -217,7 +236,7 @@ class Poly:
     # -- division ----------------------------------------------------------
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        other = _coerce(other)
+        other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
@@ -237,9 +256,6 @@ class Poly:
                 for i in range(dd + 1):
                     rem[k - dd + i] -= q * div[i]
         return Poly(quot), Poly(rem[:dd])
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
@@ -289,12 +305,6 @@ class Poly:
         g = other.primitive_integer_form()[0].integer_coefficients()
         return Poly(_zz_gcd(f, g)).monic()
 
-    def squarefree_part(self) -> Poly:
-        """Monic product of the distinct irreducible factors."""
-        if self.degree() < 1:
-            raise ValueError("squarefree part needs degree >= 1")
-        return self.exact_div(self.gcd(self.derivative())).monic()
-
     def squarefree_decomposition(self) -> list[tuple[Poly, int]]:
         """Yun decomposition: pairwise-coprime squarefree parts with multiplicities.
 
@@ -322,14 +332,6 @@ class Poly:
             d = c - b.derivative()
             i += 1
         return out
-
-
-def _coerce(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
-    return NotImplemented
 
 
 def compose(outer: Poly, inner: Poly) -> Poly:
@@ -418,10 +420,10 @@ def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
 # -- bivariate layer -------------------------------------------------------
 
 
-class BiPoly:
+class BiPoly(_Dense):
     """Polynomial in z with coefficients in Q[c], stored dense in z."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Poly] = ()):
         cs = [c if isinstance(c, Poly) else Poly.constant(c) for c in coeffs]
@@ -429,15 +431,13 @@ class BiPoly:
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
-
-    def __reduce__(self):
-        return (BiPoly, (self._coeffs,))
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls(())
+    @staticmethod
+    def _coerce(value) -> BiPoly:
+        if isinstance(value, BiPoly):
+            return value
+        if isinstance(value, (int, Fraction, Poly)):
+            return BiPoly((value,))
+        return NotImplemented
 
     @classmethod
     def identity(cls) -> BiPoly:
@@ -449,61 +449,11 @@ class BiPoly:
         """The polynomial c (constant in z)."""
         return cls((Poly.identity(),))
 
-    @property
-    def coeffs(self) -> tuple[Poly, ...]:
-        return self._coeffs
-
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({list(self._coeffs)!r})"
-
     def __str__(self) -> str:
         return format_bipoly(self)
 
-    def __add__(self, other) -> BiPoly:
-        other = _coerce_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other) -> BiPoly:
-        other = _coerce_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> BiPoly:
-        other = _coerce_bipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> BiPoly:
-        other = _coerce_bipoly(other)
+        other = BiPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -517,18 +467,6 @@ class BiPoly:
         return BiPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> BiPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly((Poly.one(),))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def exact_div(self, other: BiPoly) -> BiPoly:
         """Exact long division in Q[c][z]; every coefficient step must divide exactly."""
@@ -559,16 +497,6 @@ class BiPoly:
         """Specialize the parameter c, leaving a univariate polynomial in z."""
         c_value = Fraction(c_value)
         return Poly([p(c_value) for p in self._coeffs])
-
-
-def _coerce_bipoly(value) -> BiPoly:
-    if isinstance(value, BiPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return BiPoly((Poly.constant(value),))
-    if isinstance(value, Poly):
-        return BiPoly((value,))
-    return NotImplemented
 
 
 # -- canonical text form ---------------------------------------------------

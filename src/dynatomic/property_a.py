@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cycles import CycleRecord, cycles_from_dynatomic
 from .errors import ConsistencyError
-from .maps import MapSpec, check_degree_guard, dynatomic_degree
+from .maps import MapSpec, dynatomic_degree
 from .numberfield import subfield_degree
 from .polynomials import Poly
 from .rationals import format_rational, naive_height
@@ -149,7 +149,6 @@ def check_aggregate(
     """
     if n < 2:
         raise ValueError(f"period must be >= 2, got {n}")
-    check_degree_guard(spec.d, n)
     records = cycles_from_dynatomic(spec, n)
     exact = [rec for rec in records if rec.exact_period == n]
     degenerate = [rec for rec in records if rec.exact_period < n]

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b' or 'a' into a reduced Fraction.  Rejects b = 0."""

@@ -1,4 +1,7 @@
+import gc
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,9 +37,19 @@ class TestIterate:
         for n in range(4):
             assert iterate(spec, n).degree() == 3**n
 
-    def test_memoized_identical(self):
-        spec = MapSpec(2, Fraction(1, 7))
-        assert iterate(spec, 4) is iterate(MapSpec(2, Fraction(1, 7)), 4)
+    def test_no_iterates_retained_between_calls(self):
+        cs = list(itertools.islice(enumerate_rationals_by_height(6), 40))
+        dynatomic_poly(MapSpec(2, Fraction(1, 7)), 5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for c in cs:
+                dynatomic_poly(MapSpec(2, c), 5)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 1024, held
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -114,6 +127,10 @@ class TestDynatomicDegree:
             dynatomic_poly(MapSpec(3, Fraction(0)), 8)  # degree 6480
         with pytest.raises(DegreeGuardError):
             dynatomic_poly_generic(2, 13)
+
+    def test_product_identity_guards_each_divisor(self):
+        with pytest.raises(DegreeGuardError, match="N=13"):
+            verify_product_identity(MapSpec(2, Fraction(0)), 26)
 
 
 class TestProductIdentity:

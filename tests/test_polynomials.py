@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -191,7 +192,7 @@ class TestPrimitiveIntegerForm:
         for _ in range(100):
             f = rand_nonzero_poly(rng, 9)
             prim, content = f.primitive_integer_form()
-            assert prim.scale(content) == f
+            assert prim * content == f
             assert prim.leading_coefficient() > 0
 
 
@@ -222,6 +223,38 @@ class TestBiPoly:
         z, c = BiPoly.identity(), BiPoly.parameter()
         with pytest.raises(NonExactDivisionError):
             (z * z + c).exact_div(z + c)
+
+    def test_pickle_roundtrip(self):
+        z, c = BiPoly.identity(), BiPoly.parameter()
+        for f in (BiPoly.zero(), z, c, (z * z + Fraction(-3, 4) * c) ** 3 - z):
+            back = pickle.loads(pickle.dumps(f))
+            assert type(back) is BiPoly and back == f and hash(back) == hash(f)
+
+    def test_equality_agrees_with_difference(self):
+        z, c = BiPoly.identity(), BiPoly.parameter()
+        samples = [BiPoly.zero(), BiPoly((3,)), BiPoly((Fraction(-1, 2),)), c, c * c - 1, z, z + 3]
+        others = [0, 3, -1, Fraction(-1, 2), Poly.zero(), Poly.constant(3), Z, Z * Z - 1]
+        for f in samples:
+            for g in others:
+                assert (f == g) == (f - g).is_zero(), (f, g)
+                assert (g == f) == (f == g), (f, g)
+        assert BiPoly((3,)) == 3
+        assert c * c - 1 == Z * Z - 1
+        assert z != Z
+
+    def test_equal_values_hash_alike(self):
+        for value in (0, 3, Fraction(-1, 2)):
+            assert hash(BiPoly((value,))) == hash(Poly.constant(value)) == hash(value)
+            assert value in {BiPoly((value,))} and BiPoly((value,)) in {Poly.constant(value)}
+        # a Poly operand of a BiPoly is a polynomial in c
+        assert BiPoly.parameter() == Z and hash(BiPoly.parameter()) == hash(Z)
+
+    def test_pow_matches_repeated_mul(self):
+        f = BiPoly.identity() ** 2 + BiPoly.parameter()
+        assert f**3 == f * f * f
+        assert f**0 == 1
+        with pytest.raises(ValueError):
+            f ** -1
 
 
 class TestTextForm:
@@ -294,6 +327,26 @@ class TestRingBasics:
         f = Z**2 - Fraction(1, 3)
         assert f**4 == f * f * f * f
         assert f**0 == Poly.one()
+
+    def test_pickle_roundtrip(self):
+        for f in (Poly.zero(), Poly.one(), Z**5 - Fraction(7, 3) * Z + Fraction(1, 9)):
+            back = pickle.loads(pickle.dumps(f))
+            assert type(back) is Poly and back == f and hash(back) == hash(f)
+
+    def test_equality_agrees_with_difference(self):
+        samples = [Poly.zero(), Poly.one(), Poly.constant(Fraction(-5, 3)), Z, Z + 2]
+        others = [0, 1, 2, -5, Fraction(-5, 3), Fraction(1, 2)]
+        for f in samples:
+            for g in others:
+                assert (f == g) == (f - g).is_zero(), (f, g)
+                assert (g == f) == (f == g), (f, g)
+        assert Z != "z"
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Z._coeffs = ()
+        with pytest.raises(AttributeError):
+            BiPoly.identity()._coeffs = ()
 
     def test_evaluate(self):
         f = Z**3 - 2 * Z + 1
