@@ -1,14 +1,26 @@
 """Per-point and per-parameter decisions of the Galois orbit criterion.
 
 For a nonrational periodic point x of exact period N, the criterion holds
-exactly when the cycle field Q(x) is strictly larger than the orbit field
-generated by the symmetric functions of the cycle.  The extension
-Q(x)/Q(e_1..e_N) is always normal (every conjugate of x over the orbit field
-is a forward image of x, hence lies in Q(x)), so the decision reduces to the
-degree comparison D > D0.  Quadratic cycles admit an independent fast path:
-for even N the half-way iterate must equal the field conjugate of the start;
-for odd N no nonrational quadratic point can comply.  The two methods must
-agree; a disagreement is an implementation bug and raises, never resolves.
+exactly when the cycle field Q(x), of degree D, is strictly larger than the
+orbit field Q(e_1..e_N) generated by the symmetric functions of the cycle, of
+degree D0.  The extension Q(x)/Q(e_1..e_N) is always normal (every conjugate
+of x over the orbit field is a forward image of x, hence lies in Q(x)), so
+the decision reduces to the degree comparison D > D0.
+
+D0 is found by counting.  Galois conjugation commutes with z^d + c, so the
+m merged factors of a record hold m*D distinct conjugate points that split
+into m*D/N conjugate N-cycles; the orbit field is the fixed field of the
+stabiliser of one cycle, so D0 = m*D/N.  Every nonrational verdict carries
+exactly one independent cross-check, and a disagreement raises:
+
+1. Phi_N irreducible (m = 1, multiplicity 1, D = deg Phi_N): one factor is
+   one conjugate orbit of cycles, so the count is a proof; for d = 2 the
+   aggregate also checks that irreducibility forces a holding verdict.
+2. D = 2: the quadratic fast path -- for even N the half-way iterate must
+   equal the field conjugate of the start, for odd N no nonrational
+   quadratic point can comply -- and the trace test.
+3. Any other record: the count relies on the Galois-orbit merge being
+   right, so the span computation `subfield_degree` recomputes D0.
 """
 
 from __future__ import annotations
@@ -51,7 +63,16 @@ class PointVerdict:
 
 
 def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
-    """Degree comparison D > D0 for a nonrational record of exact period n."""
+    """Degree comparison D > D0 for a nonrational record of exact period n.
+
+    D0 = m*D/n counts the conjugate n-cycles among the m*D roots of the
+    record's m merged factors, so the record must come from
+    `cycles_from_dynatomic`: an unmerged record undercounts its cycles.
+    Unless Phi_n is irreducible (the count is then a proof) or D = 2 (the
+    aggregate checks the quadratic fast path), D0 is recomputed from the
+    symmetric functions by `subfield_degree`.  A count that is not an
+    integer, does not divide D, or disagrees raises ConsistencyError.
+    """
     if record.field_degree < 2:
         raise ValueError("rational points are handled at the aggregate level")
     n = record.n_requested if n is None else n
@@ -60,11 +81,28 @@ def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
             f"record has exact period {record.exact_period}, expected {n}"
         )
     d_cycle = record.field_degree
-    d_orbit = subfield_degree(record.symmetric_functions)
+    conjugates = len(record.merged_factors) * d_cycle
+    if conjugates % n:
+        raise ConsistencyError(
+            f"{conjugates} conjugate points do not split into {n}-cycles"
+        )
+    d_orbit = conjugates // n
     if d_cycle % d_orbit:
         raise ConsistencyError(
             f"orbit field degree {d_orbit} does not divide cycle field degree {d_cycle}"
         )
+    irreducible = (
+        len(record.merged_factors) == 1
+        and record.multiplicity == 1
+        and d_cycle == dynatomic_degree(record.spec.d, n)
+    )
+    if not irreducible and d_cycle != 2:
+        spanned = subfield_degree(record.symmetric_functions)
+        if spanned != d_orbit:
+            raise ConsistencyError(
+                f"cycle count gives D0 = {d_orbit} but the symmetric functions "
+                f"span a field of degree {spanned}"
+            )
     return PointVerdict(
         factor=record.factor,
         field_degree=d_cycle,

@@ -1,12 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynatomic.cycles import CycleRecord, cycles_from_dynatomic, quadratic_cycles
-from dynatomic.errors import DegreeGuardError
+from dynatomic.cycles import (
+    CycleRecord,
+    cycles_from_dynatomic,
+    orbit_in_algebra,
+    quadratic_cycles,
+)
+from dynatomic.errors import ConsistencyError, DegreeGuardError
 from dynatomic.factorq import is_irreducible
-from dynatomic.maps import MapSpec, dynatomic_poly
-from dynatomic.numberfield import QuotientAlgebra
+from dynatomic.maps import MapSpec, dynatomic_degree, dynatomic_poly
+from dynatomic.numberfield import QuotientAlgebra, subfield_degree
 from dynatomic.polynomials import Poly
 from dynatomic.property_a import (
     EXCLUDE_RATIONAL,
@@ -84,6 +91,95 @@ class TestCheckPoint:
                         v = check_point(rec, n)
                         assert v.field_degree % v.orbit_field_degree == 0
                         assert v.holds == (v.field_degree > v.orbit_field_degree)
+
+
+def nonrational_exact(spec: MapSpec, n: int) -> list[CycleRecord]:
+    return [
+        rec
+        for rec in cycles_from_dynatomic(spec, n)
+        if rec.field_degree >= 2 and rec.exact_period == n
+    ]
+
+
+def assert_count_matches_span(records, n):
+    for rec in records:
+        assert check_point(rec, n).orbit_field_degree == subfield_degree(
+            rec.symmetric_functions
+        )
+
+
+class TestConjugateCycleCount:
+    """D0 = m*D/N agrees with the span computation of the orbit field."""
+
+    def test_small_grid(self):
+        checked = 0
+        for d, periods, max_height in ((2, (2, 3, 4), 4), (3, (2, 3), 3)):
+            for c in enumerate_rationals_by_height(max_height):
+                for n in periods:
+                    records = nonrational_exact(MapSpec(d, c), n)
+                    assert_count_matches_span(records, n)
+                    checked += len(records)
+        assert checked == 104
+
+    @pytest.mark.parametrize(
+        "d, c, n",
+        [
+            (2, Fraction(0), 6),
+            (2, Fraction(-2), 6),
+            (3, Fraction(0), 4),
+        ],
+    )
+    def test_named_cells(self, d, c, n):
+        assert_count_matches_span(nonrational_exact(MapSpec(d, c), n), n)
+
+    def test_multiplicity_two(self):
+        (rec,) = nonrational_exact(MapSpec(2, Fraction(-7, 4)), 3)
+        assert (rec.multiplicity, rec.field_degree) == (2, 3)
+        assert check_point(rec).orbit_field_degree == 1
+        assert_count_matches_span([rec], 3)
+
+    def test_merged_six_cycle(self):
+        rec = quadratic_cycles(MapSpec(2, Fraction(-71, 48)), 6)[0]
+        assert len(rec.merged_factors) == 3
+        assert_count_matches_span([rec], 6)
+
+    def test_count_not_divisible_by_period(self):
+        # m*D = 2 points cannot split into 3-cycles
+        rec = synthetic_quadratic_record(
+            Z**2 - 2, [Z, Z + 1, Z + 2], period=3, spec=MapSpec(2, Fraction(1))
+        )
+        with pytest.raises(ConsistencyError):
+            check_point(rec)
+
+    def test_wrong_merge_caught_by_span(self):
+        records = nonrational_exact(MapSpec(2, Fraction(0)), 4)
+        (rec,) = [r for r in records if r.field_degree == 8]
+        doubled = replace(rec, merged_factors=rec.merged_factors * 2)
+        with pytest.raises(ConsistencyError):
+            check_point(doubled)
+
+    def test_unmerged_record_rejected(self):
+        spec = MapSpec(2, Fraction(-71, 48))
+        factor = quadratic_cycles(spec, 6)[0].merged_factors[0]
+        with pytest.raises(ConsistencyError):
+            check_point(orbit_in_algebra(factor, spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num=st.integers(-12, 12),
+        den=st.integers(1, 12),
+        d=st.sampled_from((2, 3)),
+        n=st.sampled_from((2, 3)),
+    )
+    def test_cycle_invariants(self, num, den, d, n):
+        records = cycles_from_dynatomic(MapSpec(d, Fraction(num, den)), n)
+        assert sum(
+            f.degree() * rec.multiplicity for rec in records for f in rec.merged_factors
+        ) == dynatomic_degree(d, n)
+        exact = [rec for rec in records if rec.exact_period == n]
+        for rec in exact:
+            assert (len(rec.merged_factors) * rec.field_degree) % n == 0
+        assert_count_matches_span([rec for rec in exact if rec.field_degree >= 2], n)
 
 
 class TestCheckQuadraticCycle:
