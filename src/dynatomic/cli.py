@@ -37,8 +37,8 @@ VERIFY_EXIT = 3
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let values like -71/48 pass as arguments, not option names
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        # let values like -71/48 and -1.5 pass as arguments, not option names
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

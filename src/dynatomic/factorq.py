@@ -16,7 +16,7 @@ from itertools import combinations, count
 from math import ceil, isqrt, log2
 from typing import Iterator
 
-from .polynomials import Poly, _convolve, _zz_normalize, _zz_primitive
+from .polynomials import Poly, _convolve, _zz_divmod, _zz_normalize, _zz_primitive
 from .rationals import smallest_prime_factor
 
 # -- arithmetic mod p on coefficient lists ----------------------------------
@@ -39,8 +39,6 @@ def _gf_trunc(f: list[int], p: int) -> list[int]:
 
 
 def _gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
     return _gf_trunc(_convolve(f, g), p)
 
 
@@ -81,8 +79,8 @@ def _gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_trunc(_sub(s0, _convolve(q, s1) if q and s1 else []), p)
-        t0, t1 = t1, _gf_trunc(_sub(t0, _convolve(q, t1) if q and t1 else []), p)
+        s0, s1 = s1, _gf_trunc(_sub(s0, _convolve(q, s1)), p)
+        t0, t1 = t1, _gf_trunc(_sub(t0, _convolve(q, t1)), p)
     if len(r0) != 1:
         raise ValueError("gcdex arguments are not coprime")
     inv = pow(r0[0], -1, p)
@@ -173,17 +171,8 @@ def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[i
     return basis
 
 
-def _berlekamp_factor_count(f: list[int], p: int) -> tuple[int, list[list[int]]]:
-    fm = _gf_monic(_gf_trunc(f, p), p)
-    if len(fm) - 1 <= 1:
-        return 1, []
-    basis = _nullspace_dimension_and_basis(_frobenius_rows(fm, p), p)
-    return len(basis), basis
-
-
-def _berlekamp_split(f: list[int], p: int, basis: list[list[int]]) -> list[list[int]]:
-    """Split monic squarefree f mod p into monic irreducible factors (sorted)."""
-    fm = _gf_monic(_gf_trunc(f, p), p)
+def _berlekamp_split(fm: list[int], p: int, basis: list[list[int]]) -> list[list[int]]:
+    """Split monic squarefree fm mod p into monic irreducible factors (sorted)."""
     r = len(basis)
     factors = [fm]
     if r > 1:
@@ -218,26 +207,6 @@ def _berlekamp_split(f: list[int], p: int, basis: list[list[int]]) -> list[list[
 # -- Hensel lifting ----------------------------------------------------------
 
 
-def _zz_divmod_monic(f: list[int], h: list[int]) -> tuple[list[int], list[int]]:
-    """Long division by a monic integer polynomial; stays in Z[x]."""
-    rem = list(f)
-    dh = len(h) - 1
-    quot = [0] * max(len(rem) - dh, 0)
-    for k in range(len(rem) - 1, dh - 1, -1):
-        c = rem[k]
-        if c:
-            quot[k - dh] = c
-            for i in range(dh + 1):
-                rem[k - dh + i] -= c * h[i]
-    return _zz_normalize(quot), _zz_normalize(rem[:dh])
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    return _convolve(a, b)
-
-
 def _hensel_step(
     m: int,
     f: list[int],
@@ -248,19 +217,20 @@ def _hensel_step(
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to the same mod m^2.
 
-    Requires h monic; returns (G, H, S, T) with H monic.
+    Requires h monic, so both divisions stay in Z[x]; returns (G, H, S, T)
+    with H monic.
     """
     mm = m * m
-    e = _trunc_sym(_sub(f, _mul(g, h)), mm)
-    q, r = _zz_divmod_monic(_mul(s, e), h)
+    e = _trunc_sym(_sub(f, _convolve(g, h)), mm)
+    q, r = _zz_divmod(_convolve(s, e), h)
     q, r = _trunc_sym(q, mm), _trunc_sym(r, mm)
-    big_g = _trunc_sym(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
+    big_g = _trunc_sym(_add(g, _add(_convolve(t, e), _convolve(q, g))), mm)
     big_h = _trunc_sym(_add(h, r), mm)
-    b = _trunc_sym(_sub(_add(_mul(s, big_g), _mul(t, big_h)), [1]), mm)
-    c, d = _zz_divmod_monic(_mul(s, b), big_h)
+    b = _trunc_sym(_sub(_add(_convolve(s, big_g), _convolve(t, big_h)), [1]), mm)
+    c, d = _zz_divmod(_convolve(s, b), big_h)
     c, d = _trunc_sym(c, mm), _trunc_sym(d, mm)
     big_s = _trunc_sym(_sub(s, d), mm)
-    big_t = _trunc_sym(_sub(t, _add(_mul(t, b), _mul(c, big_g))), mm)
+    big_t = _trunc_sym(_sub(t, _add(_convolve(t, b), _convolve(c, big_g))), mm)
     return big_g, big_h, big_s, big_t
 
 
@@ -300,28 +270,6 @@ def _primes() -> Iterator[int]:
     return (n for n in count(2) if smallest_prime_factor(n) == n)
 
 
-def _zz_exact_div_or_none(f: list[int], g: list[int]) -> list[int] | None:
-    """Quotient of f by g in Z[x] if exact, else None."""
-    if len(f) < len(g):
-        return None
-    rem = list(f)
-    dg = len(g) - 1
-    lcg = g[-1]
-    quot = [0] * (len(rem) - dg)
-    for k in range(len(rem) - 1, dg - 1, -1):
-        c = rem[k]
-        if c:
-            if c % lcg:
-                return None
-            q = c // lcg
-            quot[k - dg] = q
-            for i in range(dg + 1):
-                rem[k - dg + i] -= q * g[i]
-    if any(rem[:dg]):
-        return None
-    return quot
-
-
 def _mignotte_bound(f: list[int]) -> int:
     n = len(f) - 1
     a = max(abs(c) for c in f)
@@ -337,21 +285,22 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
     Returns None as soon as some reduction proves f irreducible over Z.
     """
     lc = f[-1]
-    candidates: list[tuple[int, int, list[list[int]]]] = []
+    candidates: list[tuple[int, int, list[int], list[list[int]]]] = []
     for p in _primes():
         if lc % p == 0:
             continue
         fp = _gf_trunc(f, p)
         if len(fp) != len(f) or not _gf_is_squarefree(fp, p):
             continue
-        n_factors, basis = _berlekamp_factor_count(fp, p)
-        if n_factors == 1:
+        fm = _gf_monic(fp, p)
+        basis = _nullspace_dimension_and_basis(_frobenius_rows(fm, p), p)
+        if len(basis) == 1:
             return None
-        candidates.append((n_factors, p, basis))
+        candidates.append((len(basis), p, fm, basis))
         if len(candidates) == 5:
             break
-    best = min(candidates, key=lambda item: (item[0], item[1]))
-    return best[1], _berlekamp_split(f, best[1], best[2])
+    _, p, fm, basis = min(candidates, key=lambda item: (item[0], item[1]))
+    return p, _berlekamp_split(fm, p, basis)
 
 
 def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
@@ -392,14 +341,14 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
                     continue
             cand = [b]
             for i in subset:
-                cand = _mul(cand, lifted[i])
+                cand = _convolve(cand, lifted[i])
             cand = _zz_primitive(_trunc_sym(cand, pl))
             if cand and cand[0] and tc % cand[0]:
                 continue
-            quot = _zz_exact_div_or_none(rest, cand)
-            if quot is not None:
+            divided = _zz_divmod(rest, cand)
+            if divided is not None and not divided[1]:
                 factors.append(cand)
-                rest = _zz_primitive(quot)
+                rest = _zz_primitive(divided[0])
                 indices = [i for i in indices if i not in subset]
                 found = True
                 break

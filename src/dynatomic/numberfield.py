@@ -16,7 +16,7 @@ from math import gcd as int_gcd
 from typing import Sequence
 
 from .errors import NotQuadraticIrrational, ParentMismatchError
-from .polynomials import Poly, _convolve, _power
+from .polynomials import Poly, _convolve, _power, _zz_divmod
 
 _ZERO = Fraction(0)
 
@@ -95,15 +95,8 @@ class QuotientAlgebra:
 
     def _reduce(self, nums: list[int], den: int) -> AlgElement:
         """Reduce a raw w-basis integer vector of any length mod the modulus."""
-        g = self._int_modulus
-        d = self.degree
-        for k in range(len(nums) - 1, d - 1, -1):
-            c = nums[k]
-            if c:
-                nums[k] = 0
-                for i in range(d):
-                    nums[k - d + i] -= c * g[i]
-        return AlgElement(self, *_normalize(nums[:d] + [0] * (d - len(nums)), den))
+        rem = _zz_divmod(nums, self._int_modulus)[1]
+        return AlgElement(self, *_normalize(rem + [0] * (self.degree - len(rem)), den))
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -241,12 +234,12 @@ def apply_phi(x: AlgElement, d: int, c: Fraction) -> AlgElement:
 class _RationalRowSpace:
     """Incremental row-reduced span of Q-vectors; exact, deterministic."""
 
-    def __init__(self, dimension: int):
-        self.dimension = dimension
+    def __init__(self):
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
 
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
+    def reduce(self, vec: list[Fraction]) -> list[Fraction]:
+        """vec minus its components along the stored pivot rows."""
         for row, piv in zip(self.rows, self.pivots):
             c = vec[piv]
             if c:
@@ -255,7 +248,7 @@ class _RationalRowSpace:
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        red = self._reduce(list(vec))
+        red = self.reduce(list(vec))
         piv = next((i for i, c in enumerate(red) if c), None)
         if piv is None:
             return False
@@ -273,30 +266,22 @@ class _RationalRowSpace:
 def minimal_polynomial(x: AlgElement) -> Poly:
     """Monic polynomial of least degree vanishing at x.
 
-    Found as the first linear dependency among 1, x, x^2, ... by exact
-    Gaussian elimination; the degree divides the algebra degree when the
+    Found as the first linear dependency among 1, x, x^2, ...: the row space
+    holds coords(x^k) || e_k for k < m, so when coords(x^m) || e_m reduces to
+    zero in its first D entries, the rest spells out a dependency with
+    coefficient 1 at x^m.  The degree divides the algebra degree when the
     modulus is irreducible.
     """
     d = x.parent.degree
-    rows: list[tuple[list[Fraction], list[Fraction]]] = []
+    space = _RationalRowSpace()
     power = x.parent.one()
     for m in range(d + 1):
-        vec = power.coordinates()
-        combo = [_ZERO] * (d + 2)
-        combo[m] = Fraction(1)
-        # reduce (vec, combo) against stored reduced rows
-        for row_vec, row_combo in rows:
-            piv = next(i for i, c in enumerate(row_vec) if c)
-            c = vec[piv]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row_vec)]
-                combo = [a - c * b for a, b in zip(combo, row_combo)]
-        piv = next((i for i, c in enumerate(vec) if c), None)
-        if piv is None:
-            # combo encodes sum combo_k x^k = 0 with combo_m = 1
-            return Poly(combo[: m + 1])
-        inv = vec[piv]
-        rows.append(([c / inv for c in vec], [c / inv for c in combo]))
+        vec = power.coordinates() + [_ZERO] * (d + 1)
+        vec[d + m] = Fraction(1)
+        red = space.reduce(vec)
+        if not any(red[:d]):
+            return Poly(red[d : d + m + 1])
+        space.add(red)
         power = power * x
     raise AssertionError("no dependency among D+1 powers; broken algebra")
 
@@ -314,7 +299,7 @@ def subfield_degree(generators: Sequence[AlgElement]) -> int:
     for g in generators[1:]:
         if g.parent is not parent and g.parent != parent:
             raise ParentMismatchError("generators belong to different algebras")
-    space = _RationalRowSpace(parent.degree)
+    space = _RationalRowSpace()
     one = parent.one()
     space.add(one.coordinates())
     queue = [one]

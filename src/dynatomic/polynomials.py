@@ -34,6 +34,9 @@ def _lift_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer coefficient lists; [] when either operand is empty."""
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -203,8 +206,6 @@ class Poly(_Dense):
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return Poly.zero()
         na, da = _lift_common_denominator(self._coeffs)
         nb, db = _lift_common_denominator(other._coeffs)
         nums = _convolve(na, nb)
@@ -279,12 +280,8 @@ class Poly(_Dense):
         if self.is_zero():
             raise ValueError("zero polynomial has no primitive form")
         nums, den = _lift_common_denominator(self._coeffs)
-        g = 0
-        for n in nums:
-            g = int_gcd(g, abs(n))
-        if nums[-1] < 0:
-            g = -g
-        return Poly([n // g for n in nums]), Fraction(g, den)
+        prim = _zz_primitive(nums)
+        return Poly(prim), Fraction(nums[-1] // prim[-1], den)
 
     def integer_coefficients(self) -> list[int]:
         """Coefficient list as ints; rejects non-integer coefficients."""
@@ -301,8 +298,8 @@ class Poly(_Dense):
             return other.monic() if not other.is_zero() else Poly.zero()
         if other.is_zero():
             return self.monic()
-        f = self.primitive_integer_form()[0].integer_coefficients()
-        g = other.primitive_integer_form()[0].integer_coefficients()
+        f = _lift_common_denominator(self._coeffs)[0]
+        g = _lift_common_denominator(other._coeffs)[0]
         return Poly(_zz_gcd(f, g)).monic()
 
     def squarefree_decomposition(self) -> list[tuple[Poly, int]]:
@@ -345,10 +342,6 @@ def compose(outer: Poly, inner: Poly) -> Poly:
 # -- integer-coefficient kernel -------------------------------------------
 
 
-def _zz_degree(f: list[int]) -> int:
-    return len(f) - 1
-
-
 def _zz_normalize(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
@@ -371,15 +364,38 @@ def _zz_primitive(f: list[int]) -> list[int]:
     return [c // g for c in f]
 
 
+def _zz_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """Long division in Z[x]: (q, r) with f = q*g + r and deg r < deg g.
+
+    None as soon as a quotient coefficient is not an integer, which happens
+    exactly when the quotient over Q leaves Z[x].  f may carry trailing
+    zeros; g may not.
+    """
+    rem = list(f)
+    dg = len(g) - 1
+    lcg = g[-1]
+    quot = [0] * max(len(rem) - dg, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem.pop()  # the term of degree k + dg, cancelled by q*x^k*g
+        if c:
+            q, m = divmod(c, lcg)
+            if m:
+                return None
+            quot[k] = q
+            for i in range(dg):
+                rem[k + i] -= q * g[i]
+    return _zz_normalize(quot), _zz_normalize(rem)
+
+
 def _zz_pseudo_rem(f: list[int], g: list[int]) -> list[int]:
     """prem(f, g): lc(g)^(deg f - deg g + 1) * f reduced mod g, all in Z[x]."""
-    df, dg = _zz_degree(f), _zz_degree(g)
+    dg = len(g) - 1
     lcg = g[-1]
     r = list(f)
-    steps = df - dg + 1
-    while r and _zz_degree(r) >= dg:
+    steps = len(f) - dg
+    while len(r) > dg:
         lead = r[-1]
-        shift = _zz_degree(r) - dg
+        shift = len(r) - 1 - dg
         r = [lcg * c for c in r]
         for i, gc in enumerate(g):
             r[shift + i] -= lead * gc
@@ -399,16 +415,16 @@ def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
         return g
     if not g:
         return f
-    if _zz_degree(f) < _zz_degree(g):
+    if len(f) < len(g):
         f, g = g, f
     h = 1
     s = 1
     while True:
-        delta = _zz_degree(f) - _zz_degree(g)
+        delta = len(f) - len(g)
         r = _zz_pseudo_rem(f, g)
         if not r:
             return _zz_primitive(g)
-        if _zz_degree(r) == 0:
+        if len(r) == 1:
             return [1]
         f, g = g, [c // (s * h**delta) for c in r]
         s = f[-1]

@@ -119,6 +119,13 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "-d", "2", "-N", "1", "-c", "0")
         assert code == 1
 
+    def test_negative_decimal_parameter(self, capsys):
+        # "-1.5" is a value of -c, not an option name, just like "-3/2"
+        decimal = run_cli(capsys, "check", "-N", "2", "-c", "-1.5")
+        fraction = run_cli(capsys, "check", "-N", "2", "-c", "-3/2")
+        assert decimal[0] == 0
+        assert decimal == fraction
+
 
 class TestScanCommand:
     def test_jsonl_with_summary(self, capsys):

@@ -84,6 +84,17 @@ class TestAlgebraArithmetic:
             x = rand_element(rng, a)
             assert a.element(x.representative) == x
 
+    def test_products_over_scaled_modulus(self):
+        # modulus with denominators: products reduce in the basis w = 48*z
+        modulus = Z**3 + Fraction(1, 2) * Z + Fraction(37, 48)
+        a = QuotientAlgebra(modulus)
+        rng = random.Random(9)
+        for _ in range(40):
+            x, y = rand_element(rng, a), rand_element(rng, a)
+            assert (x * y).representative == (x.representative * y.representative) % modulus
+        x = a.generator() + Fraction(1, 3)
+        assert (x**7).representative == (x.representative**7) % modulus
+
 
 class TestApplyPhi:
     def test_quadratic_example(self):
@@ -120,6 +131,16 @@ class TestMinimalPolynomial:
     def test_gauss_period(self):
         z = QuotientAlgebra(CYCLO7).generator()
         assert minimal_polynomial(z + z**2 + z**4) == Z**2 + Z + 2
+
+    def test_scaled_modulus_monic_and_vanishing(self):
+        a = QuotientAlgebra(Z**3 + Fraction(1, 2) * Z + Fraction(37, 48))
+        assert minimal_polynomial(a.generator()) == a.modulus
+        rng = random.Random(19)
+        for _ in range(20):
+            x = rand_element(rng, a)
+            m = minimal_polynomial(x)
+            assert m.leading_coefficient() == 1
+            assert m(x) == a.zero()
 
     def test_vanishes_and_degree_divides(self):
         rng = random.Random(17)

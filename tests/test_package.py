@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import dynatomic
 
 
@@ -5,3 +11,19 @@ def test_every_export_resolves():
     missing = [name for name in dynatomic.__all__ if not hasattr(dynatomic, name)]
     assert missing == []
     assert len(set(dynatomic.__all__)) == len(dynatomic.__all__)
+
+
+def test_benchmark_trace_hooks_resolve(tmp_path):
+    # perfbench/inproc.py wraps library callables by name; a rename breaks it
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    calls = json.dumps([["z^2 - 1", ["factor", "z^2 - 1"]]])
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "inproc.py"), "--traced", "1",
+         "--spans", str(tmp_path / "spans.jsonl"), "--calls", calls],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["layers"]["factorq.factor_over_q.calls"] == 1

@@ -13,6 +13,8 @@ from dynatomic.polynomials import (
     format_bipoly,
     format_poly,
     parse_poly,
+    _convolve,
+    _zz_divmod,
 )
 from _oracles import naive_gcd
 
@@ -99,6 +101,37 @@ class TestExactDiv:
             q, r = divmod(f, g)
             assert q * g + r == f
             assert r.degree() < g.degree()
+
+
+class TestIntegerKernel:
+    def test_convolve_empty_operand(self):
+        assert _convolve([], [1, 2]) == []
+        assert _convolve([3, -1], []) == []
+        assert _convolve([], []) == []
+
+    def test_divmod_matches_rational_division(self):
+        rng = random.Random(41)
+        outcomes = {True: 0, False: 0}
+        for trial in range(400):
+            g = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+            g.append(rng.choice([1, -1, 2, -3, 4, 6]))
+            if trial % 2:
+                # integral quotient by construction: f = q*g + r, exact every other time
+                q0 = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+                r0 = [rng.randint(-9, 9) for _ in range(len(g) - 1)] if trial % 4 == 1 else []
+                f = (Poly(q0) * Poly(g) + Poly(r0)).integer_coefficients()
+            else:
+                f = [rng.randint(-20, 20) for _ in range(rng.randint(0, 12))]
+            f = f + [0] * rng.randint(0, 2)  # trailing zeros are allowed in f
+            q, r = divmod(Poly(f), Poly(g))
+            integral = all(c.denominator == 1 for c in q.coeffs)
+            outcomes[integral] += 1
+            got = _zz_divmod(f, g)
+            if integral:
+                assert got == (q.integer_coefficients(), r.integer_coefficients())
+            else:
+                assert got is None
+        assert min(outcomes.values()) >= 50
 
 
 class TestGcd:
