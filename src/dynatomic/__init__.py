@@ -15,7 +15,7 @@ from .rationals import (
     naive_height,
     parse_rational,
 )
-from .polynomials import BiPoly, Poly, compose, format_bipoly, format_poly, parse_poly
+from .polynomials import BiPoly, Poly, format_bipoly, format_poly, parse_poly
 from .factorq import Factorization, factor_over_q, is_irreducible, rational_roots
 from .numberfield import (
     AlgElement,
@@ -68,7 +68,6 @@ __all__ = [
     "check_aggregate",
     "check_point",
     "check_quadratic_cycle",
-    "compose",
     "cycles_from_dynatomic",
     "divisors",
     "dynatomic_degree",

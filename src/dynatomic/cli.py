@@ -37,8 +37,9 @@ VERIFY_EXIT = 3
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let values like -71/48 and -1.5 pass as arguments, not option names
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        # let values like -71/48, -1.5 and polynomials like -2*z or -z^2+1
+        # pass as arguments, not option names; no option holds z, ^, * or +
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$|^-[^-=]*[z^*+]")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -12,63 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations
 from math import ceil, isqrt, log2
-from typing import Iterator
 
-from .polynomials import Poly, _convolve, _zz_divmod, _zz_normalize, _zz_primitive
-from .rationals import smallest_prime_factor
+from .polynomials import (
+    Poly, _convolve, _gf_divmod, _gf_gcd, _gf_monic, _gf_mul, _gf_trunc, _trunc_sym,
+    _zz_add, _zz_derivative, _zz_divmod, _zz_normalize, _zz_primitive, _zz_sub,
+)
+from .rationals import primes
 
 # -- arithmetic mod p on coefficient lists ----------------------------------
-
-
-def _trunc_sym(f: list[int], m: int) -> list[int]:
-    """Reduce coefficients into the symmetric range (-m/2, m/2]."""
-    half = m // 2
-    out = []
-    for c in f:
-        r = c % m
-        if r > half:
-            r -= m
-        out.append(r)
-    return _zz_normalize(out)
-
-
-def _gf_trunc(f: list[int], p: int) -> list[int]:
-    return _zz_normalize([c % p for c in f])
-
-
-def _gf_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    return _gf_trunc(_convolve(f, g), p)
-
-
-def _gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not g:
-        raise ZeroDivisionError("gf division by zero")
-    rem = [c % p for c in f]
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    quot = [0] * max(len(rem) - dg, 0)
-    for k in range(len(rem) - 1, dg - 1, -1):
-        c = rem[k] % p
-        if c:
-            q = c * inv % p
-            quot[k - dg] = q
-            for i in range(dg + 1):
-                rem[k - dg + i] = (rem[k - dg + i] - q * g[i]) % p
-    return _zz_normalize(quot), _zz_normalize(rem[:dg])
-
-
-def _gf_monic(f: list[int], p: int) -> list[int]:
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    a, b = _gf_trunc(f, p), _gf_trunc(g, p)
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    return _gf_monic(a, p) if a else []
 
 
 def _gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -79,26 +32,12 @@ def _gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_trunc(_sub(s0, _convolve(q, s1)), p)
-        t0, t1 = t1, _gf_trunc(_sub(t0, _convolve(q, t1)), p)
+        s0, s1 = s1, _gf_trunc(_zz_sub(s0, _convolve(q, s1)), p)
+        t0, t1 = t1, _gf_trunc(_zz_sub(t0, _convolve(q, t1)), p)
     if len(r0) != 1:
         raise ValueError("gcdex arguments are not coprime")
     inv = pow(r0[0], -1, p)
     return _gf_trunc([c * inv for c in s0], p), _gf_trunc([c * inv for c in t0], p)
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _zz_normalize(out)
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return _zz_normalize(out)
 
 
 def _gf_pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
@@ -114,7 +53,7 @@ def _gf_pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 
 def _gf_is_squarefree(f: list[int], p: int) -> bool:
-    deriv = _gf_trunc([i * c for i, c in enumerate(f)][1:], p)
+    deriv = _gf_trunc(_zz_derivative(f), p)
     if not deriv:
         return False
     return len(_gf_gcd(f, deriv, p)) == 1
@@ -190,7 +129,7 @@ def _berlekamp_split(fm: list[int], p: int, basis: list[list[int]]) -> list[list
                 for a in range(p):
                     if len(rem) - 1 < 1:
                         break
-                    g = _gf_gcd(rem, _sub(vpoly, [a]), p)
+                    g = _gf_gcd(rem, _zz_sub(vpoly, [a]), p)
                     if len(g) - 1 >= 1:
                         pieces.append(g)
                         rem = _gf_divmod(rem, g, p)[0]
@@ -208,29 +147,29 @@ def _berlekamp_split(fm: list[int], p: int, basis: list[list[int]]) -> list[list
 
 
 def _hensel_step(
-    m: int,
+    mm: int,
     f: list[int],
     g: list[int],
     h: list[int],
     s: list[int],
     t: list[int],
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to the same mod m^2.
+    """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to the same mod mm.
 
-    Requires h monic, so both divisions stay in Z[x]; returns (G, H, S, T)
-    with H monic.
+    mm is m^2 or a divisor of it.  Requires h monic, so both divisions are
+    exact mod mm and run there, where coefficients cannot grow; returns
+    (G, H, S, T) with H monic.
     """
-    mm = m * m
-    e = _trunc_sym(_sub(f, _convolve(g, h)), mm)
-    q, r = _zz_divmod(_convolve(s, e), h)
+    e = _trunc_sym(_zz_sub(f, _convolve(g, h)), mm)
+    q, r = _gf_divmod(_convolve(s, e), h, mm)
     q, r = _trunc_sym(q, mm), _trunc_sym(r, mm)
-    big_g = _trunc_sym(_add(g, _add(_convolve(t, e), _convolve(q, g))), mm)
-    big_h = _trunc_sym(_add(h, r), mm)
-    b = _trunc_sym(_sub(_add(_convolve(s, big_g), _convolve(t, big_h)), [1]), mm)
-    c, d = _zz_divmod(_convolve(s, b), big_h)
+    big_g = _trunc_sym(_zz_add(g, _zz_add(_convolve(t, e), _convolve(q, g))), mm)
+    big_h = _trunc_sym(_zz_add(h, r), mm)
+    b = _trunc_sym(_zz_sub(_zz_add(_convolve(s, big_g), _convolve(t, big_h)), [1]), mm)
+    c, d = _gf_divmod(_convolve(s, b), big_h, mm)
     c, d = _trunc_sym(c, mm), _trunc_sym(d, mm)
-    big_s = _trunc_sym(_sub(s, d), mm)
-    big_t = _trunc_sym(_sub(t, _add(_convolve(t, b), _convolve(c, big_g))), mm)
+    big_s = _trunc_sym(_zz_sub(s, d), mm)
+    big_t = _trunc_sym(_zz_sub(t, _zz_add(_convolve(t, b), _convolve(c, big_g))), mm)
     return big_g, big_h, big_s, big_t
 
 
@@ -258,16 +197,12 @@ def _hensel_lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[li
     g, h = _trunc_sym(g, p), _trunc_sym(h, p)
     s, t = _trunc_sym(s, p), _trunc_sym(t, p)
     for _ in range(d):
+        m = min(m * m, pl)  # the last step stops at p^l, not beyond it
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
     return _hensel_lift(p, g, facs[:k], l) + _hensel_lift(p, h, facs[k:], l)
 
 
 # -- Zassenhaus --------------------------------------------------------------
-
-
-def _primes() -> Iterator[int]:
-    return (n for n in count(2) if smallest_prime_factor(n) == n)
 
 
 def _mignotte_bound(f: list[int]) -> int:
@@ -286,7 +221,7 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
     """
     lc = f[-1]
     candidates: list[tuple[int, int, list[int], list[list[int]]]] = []
-    for p in _primes():
+    for p in primes():
         if lc % p == 0:
             continue
         fp = _gf_trunc(f, p)
@@ -403,9 +338,8 @@ def factor_over_q(f: Poly) -> Factorization:
     content = f.leading_coefficient()
     collected: list[tuple[Poly, int]] = []
     for part, mult in f.squarefree_decomposition():
-        part_int, part_content = part.primitive_integer_form()
-        content *= part_content**mult
-        for fac in _zz_factor_squarefree(part_int.integer_coefficients()):
+        content /= part.leading_coefficient() ** mult
+        for fac in _zz_factor_squarefree([c.numerator for c in part.coeffs]):
             collected.append((Poly(fac), mult))
     collected.sort(key=lambda item: _canonical_key(item[0]))
     return Factorization(content=Fraction(content), factors=tuple(collected))

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 from .errors import NotQuadraticIrrational, ParentMismatchError
-from .polynomials import Poly, _convolve, _power, _zz_divmod
+from .polynomials import Poly, _convolve, _power, _zz_divmod, _zz_primitive
+from .rationals import smallest_prime_factor
 
 _ZERO = Fraction(0)
 
@@ -37,9 +38,7 @@ class QuotientAlgebra:
         object.__setattr__(self, "modulus", modulus)
         d = modulus.degree()
         object.__setattr__(self, "degree", d)
-        scale = 1
-        for c in modulus.coeffs:
-            scale = scale * c.denominator // int_gcd(scale, c.denominator)
+        scale = lcm(*(c.denominator for c in modulus.coeffs))
         powers = [1] * (d + 1)
         for k in range(1, d + 1):
             powers[k] = powers[k - 1] * scale
@@ -74,10 +73,7 @@ class QuotientAlgebra:
         if rep.degree() >= self.degree:
             rep = rep % self.modulus
         coeffs = rep.coeffs
-        den = 1
-        for k, c in enumerate(coeffs):
-            q = c.denominator * self._scale_powers[k]
-            den = den * q // int_gcd(den, q)
+        den = lcm(*(c.denominator * self._scale_powers[k] for k, c in enumerate(coeffs)))
         nums = [0] * self.degree
         for k, c in enumerate(coeffs):
             nums[k] = c.numerator * (den // (c.denominator * self._scale_powers[k]))
@@ -100,16 +96,9 @@ class QuotientAlgebra:
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    g = abs(den)
-    for n in nums:
-        g = int_gcd(g, n)
-        if g == 1:
-            break
-    if g == 0:
-        return tuple(nums), 1
-    if den < 0:
-        g = -g
-    return tuple(n // g for n in nums), den // g
+    """Cancel the common factor of (nums, den) and make den positive; den != 0."""
+    *nums, den = _zz_primitive([*nums, den])
+    return tuple(nums), den
 
 
 class AlgElement:
@@ -321,20 +310,15 @@ def _extract_square(n: int) -> tuple[int, int]:
         return 1, 0
     sign = -1 if n < 0 else 1
     n = abs(n)
-    t = 1
-    s = 1
-    p = 2
-    while p * p <= n:
+    t = s = 1
+    while n > 1:
+        p = smallest_prime_factor(n)
+        n //= p
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            t *= p ** (e // 2)
-            if e % 2:
-                s *= p
-        p += 1 if p == 2 else 2
-    s *= n
+            n //= p
+            t *= p
+        else:
+            s *= p
     return t, sign * s
 
 

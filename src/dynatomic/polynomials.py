@@ -5,31 +5,29 @@
 `Poly` objects in the parameter c, i.e. an element of Q[c][z].
 
 Multiplication lifts coefficient vectors to a common integer denominator and
-convolves machine-free Python ints; gcds run on primitive integer forms via
-the subresultant PRS.  Everything is exact; nothing here ever rounds.
+convolves machine-free Python ints.  Below the classes sits the one list
+kernel for Z[x] and F_p[x]: gcds in Z[x] are built from F_p images by the
+Chinese remainder theorem and proved by exact division, and Yun's squarefree
+split runs on primitive integer forms.  Everything is exact; nothing here
+ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NonExactDivisionError, PolynomialZeroDivisionError
+from .rationals import primes
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // int_gcd(a, b)
-
-
 def _lift_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Represent a rational vector as (integer vector, positive denominator)."""
-    den = 1
-    for c in coeffs:
-        den = _lcm(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
@@ -214,9 +212,6 @@ class Poly(_Dense):
 
     __rmul__ = __mul__
 
-    def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self._coeffs)][1:])
-
     def __call__(self, x):
         """Horner evaluation; works for Fraction, int, and any ring element."""
         if not self._coeffs:
@@ -270,76 +265,40 @@ class Poly(_Dense):
             )
         return q
 
-    # -- integer forms, gcd, squarefree ------------------------------------
-
-    def primitive_integer_form(self) -> tuple[Poly, Fraction]:
-        """Write f = content * primitive with integer primitive, gcd 1, positive lc.
-
-        Returns (primitive, content).  Rejects the zero polynomial.
-        """
-        if self.is_zero():
-            raise ValueError("zero polynomial has no primitive form")
-        nums, den = _lift_common_denominator(self._coeffs)
-        prim = _zz_primitive(nums)
-        return Poly(prim), Fraction(nums[-1] // prim[-1], den)
-
-    def integer_coefficients(self) -> list[int]:
-        """Coefficient list as ints; rejects non-integer coefficients."""
-        out = []
-        for c in self._coeffs:
-            if c.denominator != 1:
-                raise ValueError("polynomial has non-integer coefficients")
-            out.append(c.numerator)
-        return out
-
-    def gcd(self, other: Poly) -> Poly:
-        """Monic gcd over Q, computed on primitive integer forms."""
-        if self.is_zero():
-            return other.monic() if not other.is_zero() else Poly.zero()
-        if other.is_zero():
-            return self.monic()
-        f = _lift_common_denominator(self._coeffs)[0]
-        g = _lift_common_denominator(other._coeffs)[0]
-        return Poly(_zz_gcd(f, g)).monic()
+    # -- squarefree --------------------------------------------------------
 
     def squarefree_decomposition(self) -> list[tuple[Poly, int]]:
         """Yun decomposition: pairwise-coprime squarefree parts with multiplicities.
 
-        The product of part^multiplicity equals self up to a nonzero constant.
-        Parts are monic, listed by ascending multiplicity.
+        Runs on the primitive integer form, where every division is exact in
+        Z[x] by Gauss's lemma.  The product of part^multiplicity equals self
+        up to a nonzero constant.  Parts are primitive integer polynomials
+        with positive leading coefficient, listed by ascending multiplicity.
         """
         if self.is_zero():
             raise ValueError("zero polynomial has no squarefree decomposition")
-        f = self.monic() if self.degree() >= 0 else self
-        if f.degree() < 1:
+        if self.degree() < 1:
             return []
         out: list[tuple[Poly, int]] = []
-        df = f.derivative()
-        a = f.gcd(df)
-        b = f.exact_div(a)
-        c = df.exact_div(a)
-        d = c - b.derivative()
+        f = _zz_primitive(_lift_common_denominator(self._coeffs)[0])
+        df = _zz_derivative(f)
+        a = _zz_gcd(f, df)
+        b = _zz_divmod(f, a)[0]
+        c = _zz_divmod(df, a)[0]
+        d = _zz_sub(c, _zz_derivative(b))
         i = 1
-        while b.degree() > 0:
-            p = b.gcd(d)
-            if p.degree() > 0:
-                out.append((p, i))
-            b = b.exact_div(p)
-            c = d.exact_div(p)
-            d = c - b.derivative()
+        while len(b) > 1:
+            p = _zz_gcd(b, d)
+            if len(p) > 1:
+                out.append((Poly(p), i))
+            b = _zz_divmod(b, p)[0]
+            c = _zz_divmod(d, p)[0]
+            d = _zz_sub(c, _zz_derivative(b))
             i += 1
         return out
 
 
-def compose(outer: Poly, inner: Poly) -> Poly:
-    """outer(inner(z)) by Horner over Poly coefficients."""
-    acc = Poly.zero()
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + Poly.constant(c)
-    return acc
-
-
-# -- integer-coefficient kernel -------------------------------------------
+# -- coefficient-list kernel: Z[x] and F_p[x] -----------------------------
 
 
 def _zz_normalize(f: list[int]) -> list[int]:
@@ -351,7 +310,9 @@ def _zz_normalize(f: list[int]) -> list[int]:
 def _zz_content(f: Sequence[int]) -> int:
     g = 0
     for c in f:
-        g = int_gcd(g, abs(c))
+        g = int_gcd(g, c)
+        if g == 1:
+            break
     return g
 
 
@@ -362,6 +323,24 @@ def _zz_primitive(f: list[int]) -> list[int]:
     if f[-1] < 0:
         g = -g
     return [c // g for c in f]
+
+
+def _zz_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c
+    return _zz_normalize(out)
+
+
+def _zz_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _zz_normalize(out)
+
+
+def _zz_derivative(f: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
 
 
 def _zz_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]] | None:
@@ -387,50 +366,96 @@ def _zz_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]
     return _zz_normalize(quot), _zz_normalize(rem)
 
 
-def _zz_pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """prem(f, g): lc(g)^(deg f - deg g + 1) * f reduced mod g, all in Z[x]."""
-    dg = len(g) - 1
-    lcg = g[-1]
-    r = list(f)
-    steps = len(f) - dg
-    while len(r) > dg:
-        lead = r[-1]
-        shift = len(r) - 1 - dg
-        r = [lcg * c for c in r]
-        for i, gc in enumerate(g):
-            r[shift + i] -= lead * gc
-        _zz_normalize(r)
-        steps -= 1
-    if steps > 0:
-        m = lcg**steps
-        r = [m * c for c in r]
-    return r
+def _zz_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Primitive gcd in Z[x] with positive leading coefficient, from F_p images.
 
-
-def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd in Z[x] via the subresultant PRS (controls coefficient growth)."""
+    Let h = gcd(f, g) and b = gcd(lc f, lc g).  For every prime p not
+    dividing b, deg gcd(f mod p, g mod p) >= deg h, with equality for all
+    but finitely many p; on those, b * (monic gcd mod p) is the image of
+    (b / lc h) * h.  So a degree-0 image proves h = 1.  Images of the least
+    degree seen are joined by CRT until the symmetric residue stops
+    changing.  Its primitive part is the answer once it divides f and g
+    exactly: it then divides h and has at least h's degree.  [] when both
+    operands are zero.
+    """
     f = _zz_primitive(_zz_normalize(list(f)))
     g = _zz_primitive(_zz_normalize(list(g)))
     if not f:
         return g
     if not g:
         return f
-    if len(f) < len(g):
-        f, g = g, f
-    h = 1
-    s = 1
-    while True:
-        delta = len(f) - len(g)
-        r = _zz_pseudo_rem(f, g)
-        if not r:
-            return _zz_primitive(g)
-        if len(r) == 1:
+    b = int_gcd(f[-1], g[-1])
+    least = min(len(f), len(g)) + 1  # above every image, so the first one starts the CRT
+    for p in primes():
+        if b % p == 0:
+            continue
+        v = _gf_gcd(f, g, p)
+        if len(v) == 1:
             return [1]
-        f, g = g, [c // (s * h**delta) for c in r]
-        s = f[-1]
-        if delta > 0:
-            h = s**delta // h ** (delta - 1)
-    # unreachable
+        if len(v) > least:
+            continue  # unlucky prime
+        if len(v) < least:
+            least, h, m, last = len(v), [0] * len(v), 1, None
+        inv = pow(m, -1, p)
+        h = [hc + m * ((b * vc - hc) * inv % p) for hc, vc in zip(h, v)]
+        m *= p
+        sym = _trunc_sym(h, m)
+        if sym == last:
+            cand = _zz_primitive(sym)
+            qf, qg = _zz_divmod(f, cand), _zz_divmod(g, cand)
+            if qf and qg and not qf[1] and not qg[1]:
+                return cand
+        last = sym
+
+
+def _trunc_sym(f: Sequence[int], m: int) -> list[int]:
+    """Reduce coefficients into the symmetric range (-m/2, m/2]."""
+    half = m // 2
+    out = []
+    for c in f:
+        r = c % m
+        if r > half:
+            r -= m
+        out.append(r)
+    return _zz_normalize(out)
+
+
+def _gf_trunc(f: Sequence[int], p: int) -> list[int]:
+    return _zz_normalize([c % p for c in f])
+
+
+def _gf_mul(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
+    return _gf_trunc(_convolve(f, g), p)
+
+
+def _gf_divmod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    if not g:
+        raise ZeroDivisionError("gf division by zero")
+    rem = [c % p for c in f]
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    quot = [0] * max(len(rem) - dg, 0)
+    for k in range(len(rem) - 1, dg - 1, -1):
+        c = rem[k] % p
+        if c:
+            q = c * inv % p
+            quot[k - dg] = q
+            for i in range(dg + 1):
+                rem[k - dg + i] = (rem[k - dg + i] - q * g[i]) % p
+    return _zz_normalize(quot), _zz_normalize(rem[:dg])
+
+
+def _gf_monic(f: Sequence[int], p: int) -> list[int]:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _gf_gcd(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
+    """Monic gcd in F_p[x]; the one Euclidean remainder loop of the package."""
+    a, b = _gf_trunc(f, p), _gf_trunc(g, p)
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return _gf_monic(a, p) if a else []
 
 
 # -- bivariate layer -------------------------------------------------------

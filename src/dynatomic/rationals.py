@@ -3,12 +3,14 @@
 Rational numbers are `fractions.Fraction` throughout: arbitrary-precision,
 always reduced, positive denominator, hashable.  This module adds the naive
 height, a height-ordered enumeration of Q, and small arithmetic helpers
-(Mobius function, divisors, smallest prime factor, Mersenne primality).
+(Mobius function, divisors, smallest prime factor, the primes in order,
+Mersenne primality).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import Iterator
 
 
@@ -53,15 +55,11 @@ def mobius(n: int) -> int:
     if n < 1:
         raise ValueError(f"mobius requires n >= 1, got {n}")
     result = 1
-    p = 2
-    while p * p <= n:
+    while n > 1:
+        p = smallest_prime_factor(n)
+        n //= p
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
+            return 0
         result = -result
     return result
 
@@ -76,6 +74,11 @@ def smallest_prime_factor(n: int) -> int:
             return p
         p += 1
     return n
+
+
+def primes() -> Iterator[int]:
+    """2, 3, 5, 7, ... in increasing order, without end."""
+    return (n for n in count(2) if smallest_prime_factor(n) == n)
 
 
 def is_mersenne_prime_exponent(n: int) -> bool:

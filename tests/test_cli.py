@@ -63,6 +63,14 @@ class TestFactor:
         assert data["degree"] == 2
         assert [f["poly"] for f in data["factors"]] == ["z - 1", "z + 1"]
 
+    def test_leading_minus_without_spaces(self, capsys):
+        # "-2*z" is the polynomial to factor, not an option name
+        code, out, _ = run_cli(capsys, "factor", "-2*z")
+        assert code == 0
+        assert "# content -2" in out
+        assert out.splitlines()[-1] == "z"
+        assert run_cli(capsys, "factor", "-z^2+1")[:2] == run_cli(capsys, "factor", "-z^2 + 1")[:2]
+
     def test_conflicting_inputs_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "factor", "z^2-1", "-N", "2", "-c", "0")
         assert code == 1

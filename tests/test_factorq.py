@@ -6,7 +6,7 @@ import pytest
 from dynatomic.factorq import Factorization, factor_over_q, is_irreducible, rational_roots
 from dynatomic.maps import MapSpec, dynatomic_poly
 from dynatomic.polynomials import Poly
-from _oracles import brute_force_irreducible, clustering_factor_candidates
+from _oracles import brute_force_irreducible, clustering_factor_candidates, naive_gcd
 
 Z = Poly.identity()
 
@@ -96,7 +96,7 @@ class TestFactorProperties:
         for _ in range(40):
             f = make_irreducible(rng) * make_irreducible(rng)
             g = make_irreducible(rng)
-            if f.gcd(g).degree() != 0:
+            if naive_gcd(f, g).degree() != 0:
                 continue
             merged = factor_over_q(f * g)
             separate: dict[Poly, int] = {}
@@ -201,3 +201,44 @@ class TestFactorization:
         assert isinstance(fac, Factorization)
         assert sum(p.degree() * m for p, m in fac.factors) == f.degree()
         assert fac.factor_degrees() == [5, 10, 15]
+
+
+class TestHenselStep:
+    """The quadratic lift runs its divisions mod m^2; its invariants must hold there."""
+
+    def _check_lifts(self, g_int, h_int, p, steps, top=None):
+        from dynatomic.factorq import _gf_gcdex, _hensel_step
+        from dynatomic.polynomials import _convolve, _trunc_sym, _zz_add, _zz_sub
+
+        f = _convolve(g_int, h_int)
+        g, h = _trunc_sym(g_int, p), _trunc_sym(h_int, p)
+        s, t = (_trunc_sym(x, p) for x in _gf_gcdex(g, h, p))
+        m = p
+        for _ in range(steps):
+            m = min(m * m, top or m * m)  # a last step may stop below m^2, at top
+            g, h, s, t = _hensel_step(m, f, g, h, s, t)
+            assert h[-1] == 1 and len(h) == len(h_int)
+            assert not _trunc_sym(_zz_sub(f, _convolve(g, h)), m)
+            bezout = _zz_sub(_zz_add(_convolve(s, g), _convolve(t, h)), [1])
+            assert not _trunc_sym(bezout, m)
+        # the lifted factors are the integer ones once m exceeds twice their coefficients
+        assert (g, h) == (g_int, h_int)
+
+    def test_lifts_recover_large_integer_factors(self):
+        # a non-monic cofactor with coefficients far above p; the fifth step
+        # stops at 5^20, a proper divisor of (5^16)^2
+        self._check_lifts([-98765, 4321, 0, 777, 12346], [31337, -2718, 1, 1], 5, 5, 5**20)
+
+    def test_random_coprime_pairs(self):
+        from dynatomic.polynomials import _gf_gcd
+
+        rng = random.Random(7)
+        done = 0
+        while done < 20:
+            g = [rng.randint(-999, 999) for _ in range(rng.randint(2, 7))] + [rng.randint(1, 50)]
+            h = [rng.randint(-999, 999) for _ in range(rng.randint(1, 6))] + [1]
+            p = rng.choice([3, 5, 7, 11])
+            if g[-1] % p == 0 or len(_gf_gcd(g, h, p)) != 1:
+                continue
+            self._check_lifts(g, h, p, 4)
+            done += 1

@@ -9,13 +9,16 @@ from dynatomic.errors import NonExactDivisionError, PolynomialZeroDivisionError
 from dynatomic.polynomials import (
     BiPoly,
     Poly,
-    compose,
     format_bipoly,
     format_poly,
     parse_poly,
     _convolve,
+    _lift_common_denominator,
+    _zz_derivative,
     _zz_divmod,
+    _zz_gcd,
 )
+from dynatomic.factorq import factor_over_q
 from _oracles import naive_gcd
 
 Z = Poly.identity()
@@ -37,18 +40,32 @@ def rand_nonzero_poly(rng, max_degree, **kw):
             return p
 
 
+def derivative(p):
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def numerators(p):
+    return [c.numerator for c in p.coeffs]
+
+
+def zz_gcd_over_q(f, g):
+    """Monic gcd over Q through the integer gcd on lifted numerators."""
+    h = Poly(_zz_gcd(_lift_common_denominator(f.coeffs)[0], _lift_common_denominator(g.coeffs)[0]))
+    return h.monic() if h else h
+
+
 class TestCompose:
     def test_square_plus_one_selfcompose(self):
         f = Z**2 + 1
-        assert compose(f, f) == Poly([2, 0, 2, 0, 1])
+        assert f(f) == Poly([2, 0, 2, 0, 1])
 
     def test_identity_inner(self):
         f = Poly([3, Fraction(-1, 2), 0, 7])
-        assert compose(f, Z) == f
+        assert f(Z) == f
 
     def test_identity_outer(self):
         f = Poly([3, Fraction(-1, 2), 0, 7])
-        assert compose(Z, f) == f
+        assert Z(f) == f
 
     def test_degree_multiplies(self):
         rng = random.Random(7)
@@ -56,13 +73,13 @@ class TestCompose:
             f = rand_nonzero_poly(rng, 4)
             g = rand_nonzero_poly(rng, 4)
             if f.degree() >= 1 and g.degree() >= 1:
-                assert compose(f, g).degree() == f.degree() * g.degree()
+                assert f(g).degree() == f.degree() * g.degree()
 
     def test_associative_on_random_triples(self):
         rng = random.Random(11)
         for _ in range(100):
             f, g, h = (rand_poly(rng, 5) for _ in range(3))
-            assert compose(f, compose(g, h)) == compose(compose(f, g), h)
+            assert f(g(h)) == f(g)(h)
 
 
 class TestExactDiv:
@@ -119,7 +136,7 @@ class TestIntegerKernel:
                 # integral quotient by construction: f = q*g + r, exact every other time
                 q0 = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
                 r0 = [rng.randint(-9, 9) for _ in range(len(g) - 1)] if trial % 4 == 1 else []
-                f = (Poly(q0) * Poly(g) + Poly(r0)).integer_coefficients()
+                f = numerators(Poly(q0) * Poly(g) + Poly(r0))
             else:
                 f = [rng.randint(-20, 20) for _ in range(rng.randint(0, 12))]
             f = f + [0] * rng.randint(0, 2)  # trailing zeros are allowed in f
@@ -128,7 +145,7 @@ class TestIntegerKernel:
             outcomes[integral] += 1
             got = _zz_divmod(f, g)
             if integral:
-                assert got == (q.integer_coefficients(), r.integer_coefficients())
+                assert got == (numerators(q), numerators(r))
             else:
                 assert got is None
         assert min(outcomes.values()) >= 50
@@ -141,7 +158,7 @@ class TestGcd:
             f = rand_nonzero_poly(rng, 8)
             g = rand_nonzero_poly(rng, 8)
             h = rand_nonzero_poly(rng, 4)
-            assert (f * h).gcd(g * h) == naive_gcd(f * h, g * h)
+            assert zz_gcd_over_q(f * h, g * h) == naive_gcd(f * h, g * h)
 
     def test_common_factor_detected(self):
         rng = random.Random(32)
@@ -151,15 +168,60 @@ class TestGcd:
                 continue
             f = rand_nonzero_poly(rng, 5) * h
             g = rand_nonzero_poly(rng, 5) * h
-            assert f.gcd(g).degree() >= h.degree()
+            assert zz_gcd_over_q(f, g).degree() >= h.degree()
+
+    @staticmethod
+    def checked_gcd(f, g):
+        """_zz_gcd(f, g), checked against the Euclid oracle and by exact division."""
+        got = _zz_gcd(f, g)
+        assert Poly(got) == Poly(_lift_common_denominator(naive_gcd(Poly(f), Poly(g)).coeffs)[0])
+        for u in (f, g):
+            if any(u):
+                assert _zz_divmod(u, got)[1] == []
+        return got
+
+    def test_unlucky_first_prime(self):
+        h = [3, -1, 1]
+        f, g = _convolve([0, 1], h), _convolve([2, 1], h)
+        assert [c % 2 for c in f] == [c % 2 for c in g]  # gcd mod 2 is f itself, of degree 3
+        assert self.checked_gcd(f, g) == h
+
+    def test_prime_divides_one_leading_coefficient(self):
+        # 2 divides lc f only, so f mod 2 drops a degree; gcd(lc f, lc g) = 1
+        f = _convolve([1, 2], [-3, 1])
+        g = _convolve([-3, 1], [5, 1])
+        assert self.checked_gcd(f, g) == [-3, 1]
+
+    def test_large_negative_coefficients_take_several_primes(self):
+        big = 10**12
+        h = [-(7 * big + 1), 3 * big + 7, -(5 * big + 3), big + 13]
+        f = _convolve([1, 1], h)
+        g = _convolve([-2, 3], _convolve(h, h))
+        assert self.checked_gcd(f, g) == h
+        # (z - 1)^3 (z + 2) against its derivative: the gcd (z - 1)^2 has a negative coefficient
+        f = _convolve(_convolve([-1, 1], [-1, 1]), _convolve([-1, 1], [2, 1]))
+        assert self.checked_gcd(f, _zz_derivative(f)) == [1, -2, 1]
+
+    def test_zero_operands_and_coprime_pair(self):
+        assert _zz_gcd([], []) == []
+        assert self.checked_gcd([], [0, -2, 4]) == [0, -1, 2]
+        assert self.checked_gcd([6, 4, 0], []) == [3, 2]
+        assert self.checked_gcd([1, 0, 1], [-1, 1]) == [1]
+        assert self.checked_gcd([12], [0, 18]) == [1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(*[st.lists(st.integers(-30, 30), min_size=1, max_size=6).filter(any)] * 3)
+    def test_common_factor_recovered(self, f, g, h):
+        got = self.checked_gcd(_convolve(f, h), _convolve(g, h))
+        assert len(got) > Poly(h).degree()
 
 
 class TestSquarefree:
     def test_double_root(self):
         f = Z**2 + Z + Fraction(1, 4)
         # gcd-with-derivative oracle
-        assert naive_gcd(f, f.derivative()) == Z + Fraction(1, 2)
-        assert f.squarefree_decomposition() == [(Z + Fraction(1, 2), 2)]
+        assert naive_gcd(f, derivative(f)) == Z + Fraction(1, 2)
+        assert f.squarefree_decomposition() == [(2 * Z + 1, 2)]
 
     def test_already_squarefree(self):
         f = Z**2 - 1
@@ -199,34 +261,40 @@ class TestSquarefree:
         f = (Z - 1) ** 2 * (Z + 3) ** 2 * (Z**2 + 1)
         decomp = f.squarefree_decomposition()
         for i, (p, _) in enumerate(decomp):
-            assert p.gcd(p.derivative()).degree() == 0
+            assert naive_gcd(p, derivative(p)).degree() == 0
             for q, _ in decomp[i + 1 :]:
-                assert p.gcd(q).degree() == 0
+                assert naive_gcd(p, q).degree() == 0
 
 
 class TestPrimitiveIntegerForm:
+    """factor_over_q splits off the rational content from primitive integer factors."""
+
     def test_clears_denominators(self):
-        prim, content = (Fraction(1, 2) * Z**2 + Fraction(3, 2)).primitive_integer_form()
-        assert prim == Z**2 + 3
-        assert content == Fraction(1, 2)
+        fac = factor_over_q(Fraction(1, 2) * Z**2 + Fraction(3, 2))
+        assert fac.factors == ((Z**2 + 3, 1),)
+        assert fac.content == Fraction(1, 2)
 
     def test_six_cycle_style_denominators(self):
-        prim, content = (Z**2 + Z + Fraction(37, 48)).primitive_integer_form()
-        assert prim == 48 * Z**2 + 48 * Z + 37
-        assert content == Fraction(1, 48)
+        fac = factor_over_q(Z**2 + Z + Fraction(37, 48))
+        assert fac.factors == ((48 * Z**2 + 48 * Z + 37, 1),)
+        assert fac.content == Fraction(1, 48)
 
     def test_sign_normalization(self):
-        prim, content = (-2 * Z).primitive_integer_form()
-        assert prim == Z
-        assert content == -2
+        fac = factor_over_q(-2 * Z)
+        assert fac.factors == ((Z, 1),)
+        assert fac.content == -2
 
     def test_reconstructs(self):
         rng = random.Random(13)
         for _ in range(100):
             f = rand_nonzero_poly(rng, 9)
-            prim, content = f.primitive_integer_form()
-            assert prim * content == f
-            assert prim.leading_coefficient() > 0
+            if f.degree() < 1:
+                continue
+            fac = factor_over_q(f)
+            assert fac.expand() == f
+            for p, _ in fac.factors:
+                assert all(c.denominator == 1 for c in p.coeffs)
+                assert p.leading_coefficient() > 0
 
 
 class TestBiPoly:
