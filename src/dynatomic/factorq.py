@@ -10,6 +10,7 @@ positive leading coefficient, listed by (degree, coefficients).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,54 +60,75 @@ def _gf_is_squarefree(f: list[int], p: int) -> bool:
     return len(_gf_gcd(f, deriv, p)) == 1
 
 
-# -- deterministic Berlekamp -------------------------------------------------
+# -- deterministic Berlekamp on packed rows ---------------------------------
+# Entry i of a row over F_p sits in 64-bit slot i of one int, so a row
+# operation is one big-integer multiply-add, exact while no slot carries.
+
+_MASK = (1 << 64) - 1
+
+
+def _pack(vals: list[int]) -> int:
+    return int.from_bytes(struct.pack(f"<{len(vals)}Q", *vals), "little")
+
+
+def _unpack(x: int, n: int) -> tuple[int, ...]:
+    return struct.unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
 
 
 def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
-    """Rows are coefficient vectors of z^(p*i) mod f, i = 0..deg f - 1."""
+    """Rows are coefficient vectors of z^(p*i) mod monic f, i = 0..deg f - 1.
+
+    Row i is the packed product of row i-1 and z^p mod f with slots 2n-2 down
+    to n cleared by adding (slot k mod p) * (p - f) at slot k - n.  Slots stay
+    below (2n - 1)(p - 1)^2 + 1; ValueError if that bound exceeds 63 bits.
+    """
     n = len(f) - 1
-    zp = _gf_pow_mod([0, 1], p, f, p)
+    if ((2 * n - 1) * (p - 1) ** 2).bit_length() > 63:
+        raise ValueError("packed F_p rows would need slots beyond 63 bits")
+    zp = _pack(_gf_pow_mod([0, 1], p, f, p))
+    fneg = _pack([(p - c) % p for c in f])
     rows = [[1] + [0] * (n - 1)]
-    cur = [1]
     for _ in range(1, n):
-        cur = _gf_divmod(_gf_mul(cur, zp, p), f, p)[1]
-        rows.append(list(cur) + [0] * (n - len(cur)))
+        x = _pack(rows[-1]) * zp
+        for k in range(2 * n - 2, n - 1, -1):
+            if c := (x >> 64 * k & _MASK) % p:
+                x += c * fneg << 64 * (k - n)
+        rows.append([v % p for v in _unpack(x & ((1 << 64 * n) - 1), n)])
     return rows
 
 
 def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : v * M = 0} over F_p for the square matrix with given rows."""
+    """Basis of {v : v * M = 0} over F_p for the square matrix with given rows.
+
+    Gauss-Jordan on the packed transpose of M - I.  A row operation adds
+    (p - factor) * pivot row, and only pivot rows are reduced mod p, so slots
+    stay below n(p - 1)^2 + p; ValueError if that bound exceeds 63 bits.
+    """
     n = len(rows)
-    # transpose of (M - I); right-nullspace of it equals the left-nullspace of M - I
-    a = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
+    if (n * (p - 1) ** 2 + p).bit_length() > 63:
+        raise ValueError("packed F_p rows would need slots beyond 63 bits")
+    a = [_pack([(c - (i == j)) % p for j, c in enumerate(col)]) for i, col in enumerate(zip(*rows))]
     pivots: dict[int, int] = {}
-    row = 0
     for col in range(n):
-        sel = None
-        for r in range(row, n):
-            if a[r][col] % p:
-                sel = r
+        row = len(pivots)
+        for sel in range(row, n):
+            if lead := (a[sel] >> 64 * col & _MASK) % p:
                 break
-        if sel is None:
+        else:
             continue
+        inv = pow(lead, -1, p)
         a[row], a[sel] = a[sel], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [c * inv % p for c in a[row]]
+        a[row] = prow = _pack([v * inv % p for v in _unpack(a[row], n)])
         for r in range(n):
-            if r != row and a[r][col]:
-                factor = a[r][col]
-                a[r] = [(c - factor * d) % p for c, d in zip(a[r], a[row])]
+            if r != row and (factor := (a[r] >> 64 * col & _MASK) % p):
+                a[r] += (p - factor) * prow
         pivots[col] = row
-        row += 1
-    basis = []
-    for col in range(n):
-        if col in pivots:
-            continue
-        v = [0] * n
-        v[col] = 1
-        for pcol, prow in pivots.items():
-            v[pcol] = (-a[prow][col]) % p
-        basis.append(v)
+    free = [col for col in range(n) if col not in pivots]
+    basis = [[int(j == col) for j in range(n)] for col in free]
+    for pcol, prow in pivots.items():
+        vals = _unpack(a[prow], n)
+        for v, col in zip(basis, free):
+            v[pcol] = -vals[col] % p
     return basis
 
 
@@ -124,18 +146,16 @@ def _berlekamp_split(fm: list[int], p: int, basis: list[list[int]]) -> list[list
                 if len(u) - 1 <= 1:
                     updated.append(u)
                     continue
-                pieces: list[list[int]] = []
                 rem = u
                 for a in range(p):
                     if len(rem) - 1 < 1:
                         break
                     g = _gf_gcd(rem, _zz_sub(vpoly, [a]), p)
                     if len(g) - 1 >= 1:
-                        pieces.append(g)
+                        updated.append(g)
                         rem = _gf_divmod(rem, g, p)[0]
                 if len(rem) - 1 >= 1:
-                    pieces.append(rem)
-                updated.extend(pieces)
+                    updated.append(rem)
             factors = updated
             if len(factors) == r:
                 break

@@ -5,7 +5,9 @@ These deliberately avoid the code paths they check: root clustering runs at
 division only, so a reducibility verdict is an exact certificate and an
 irreducibility verdict exhausts every root subset.  The primitive-element
 sweep gets subfield degrees from minimal polynomials alone, independent of
-the span computation in `numberfield.subfield_degree`.
+the span computation in `numberfield.subfield_degree`.  The list Berlekamp
+kernels are the elimination and the Frobenius loop that the packed-integer
+rows in `factorq` replaced, kept entry by entry so the two can be compared.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import Sequence
 import mpmath
 
 from dynatomic.errors import NonExactDivisionError, ParentMismatchError
+from dynatomic.factorq import _gf_pow_mod
 from dynatomic.numberfield import AlgElement, minimal_polynomial
-from dynatomic.polynomials import Poly
+from dynatomic.polynomials import Poly, _gf_divmod, _gf_mul
 
 # 70 decimal digits ~ 230 bits
 ORACLE_DPS = 70
@@ -147,3 +150,51 @@ def subfield_degree_sweep(
         if d % best == 0 and streak >= d:
             break
     return best
+
+
+def list_frobenius_rows(f: list[int], p: int) -> list[list[int]]:
+    """Rows are coefficient vectors of z^(p*i) mod f, i = 0..deg f - 1."""
+    n = len(f) - 1
+    zp = _gf_pow_mod([0, 1], p, f, p)
+    rows = [[1] + [0] * (n - 1)]
+    cur = [1]
+    for _ in range(1, n):
+        cur = _gf_divmod(_gf_mul(cur, zp, p), f, p)[1]
+        rows.append(list(cur) + [0] * (n - len(cur)))
+    return rows
+
+
+def list_nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {v : v * M = 0} over F_p for the square matrix with given rows."""
+    n = len(rows)
+    # transpose of (M - I); right-nullspace of it equals the left-nullspace of M - I
+    a = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
+    pivots: dict[int, int] = {}
+    row = 0
+    for col in range(n):
+        sel = None
+        for r in range(row, n):
+            if a[r][col] % p:
+                sel = r
+                break
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        inv = pow(a[row][col], -1, p)
+        a[row] = [c * inv % p for c in a[row]]
+        for r in range(n):
+            if r != row and a[r][col]:
+                factor = a[r][col]
+                a[r] = [(c - factor * d) % p for c, d in zip(a[r], a[row])]
+        pivots[col] = row
+        row += 1
+    basis = []
+    for col in range(n):
+        if col in pivots:
+            continue
+        v = [0] * n
+        v[col] = 1
+        for pcol, prow in pivots.items():
+            v[pcol] = (-a[prow][col]) % p
+        basis.append(v)
+    return basis

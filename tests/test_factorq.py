@@ -2,11 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynatomic.factorq import Factorization, factor_over_q, is_irreducible, rational_roots
+from dynatomic.factorq import (
+    Factorization, _frobenius_rows, _gf_pow_mod, _nullspace_dimension_and_basis, _select_prime,
+    factor_over_q, is_irreducible, rational_roots,
+)
 from dynatomic.maps import MapSpec, dynatomic_poly
 from dynatomic.polynomials import Poly
-from _oracles import brute_force_irreducible, clustering_factor_candidates, naive_gcd
+from _oracles import (
+    brute_force_irreducible, clustering_factor_candidates, list_frobenius_rows,
+    list_nullspace_basis, naive_gcd,
+)
 
 Z = Poly.identity()
 
@@ -242,3 +249,117 @@ class TestHenselStep:
                 continue
             self._check_lifts(g, h, p, 4)
             done += 1
+
+
+PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 65521]
+# the largest prime below 2^29: n(p-1)^2 + p stays under 2^63 up to n = 32 and
+# (2n-1)(p-1)^2 up to n = 16, so these sizes put slots next to the bound
+P29 = 536870909
+
+
+def _matrix(kind, n, p, rng):
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "identity":
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == "all-max":
+        return [[p - 1] * n for _ in range(n)]
+    if kind in ("low-rank", "identity-plus-low-rank"):
+        r = rng.randint(0, n - 1)
+        left = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+        m = [[sum(left[i][k] * right[k][j] for k in range(r)) % p for j in range(n)]
+             for i in range(n)]
+        if kind == "identity-plus-low-rank":  # M - I is rank-deficient
+            m = [[(c + (i == j)) % p for j, c in enumerate(row)] for i, row in enumerate(m)]
+        return m
+    return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+
+
+class TestPackedBerlekamp:
+    """The packed-integer kernels against the list loops they replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(PACKED_PRIMES),
+        st.integers(1, 60),
+        st.sampled_from(["random", "zero", "identity", "all-max", "low-rank",
+                         "identity-plus-low-rank"]),
+        st.integers(0, 2**32),
+    )
+    def test_nullspace_matches_list_elimination(self, p, n, kind, seed):
+        rows = _matrix(kind, n, p, random.Random(seed))
+        assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
+
+    def test_large_sizes_match_list_loops(self):
+        # hypothesis favours small n; this covers n in [40, 60] for every p
+        rng = random.Random(2)
+        kinds = ["random", "zero", "identity", "all-max", "low-rank", "identity-plus-low-rank"]
+        for i, p in enumerate(PACKED_PRIMES * 3):
+            n = rng.randint(40, 60)
+            rows = _matrix(kinds[i % len(kinds)], n, p, rng)
+            assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            assert _frobenius_rows(f, p) == list_frobenius_rows(f, p)
+
+    @pytest.mark.parametrize("kind", ["random", "all-max", "identity-plus-low-rank"])
+    def test_nullspace_next_to_the_slot_bound(self, kind):
+        rows = _matrix(kind, 32, P29, random.Random(11))
+        assert _nullspace_dimension_and_basis(rows, P29) == list_nullspace_basis(rows, P29)
+
+    def test_basis_is_in_the_left_kernel(self):
+        rng = random.Random(3)
+        for p in PACKED_PRIMES:
+            rows = _matrix("identity-plus-low-rank", 25, p, rng)
+            basis = _nullspace_dimension_and_basis(rows, p)
+            for v in basis:
+                image = [sum(v[i] * rows[i][j] for i in range(25)) for j in range(25)]
+                assert [(x - y) % p for x, y in zip(image, v)] == [0] * 25
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(PACKED_PRIMES), st.integers(1, 60), st.integers(0, 2**32))
+    def test_frobenius_rows_match_list_loop_and_powers(self, p, n, seed):
+        rng = random.Random(seed)
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        rows = _frobenius_rows(f, p)
+        assert rows == list_frobenius_rows(f, p)
+        for i in sorted({0, min(1, n - 1), n // 2, n - 1}):
+            power = _gf_pow_mod([0, 1], p * i, f, p)
+            assert rows[i] == power + [0] * (n - len(power))
+
+    def test_frobenius_rows_next_to_the_slot_bound(self):
+        rng = random.Random(5)
+        for f in ([P29 - 1] * 16 + [1], [rng.randrange(P29) for _ in range(16)] + [1]):
+            assert _frobenius_rows(f, P29) == list_frobenius_rows(f, P29)
+
+    @pytest.mark.parametrize("n, p", [(3, 2**31 - 1), (33, P29)])
+    def test_nullspace_refuses_slots_beyond_63_bits(self, n, p):
+        with pytest.raises(ValueError, match="63 bits"):
+            _nullspace_dimension_and_basis([[1] * n for _ in range(n)], p)
+
+    @pytest.mark.parametrize("n, p", [(3, 2**31 - 1), (17, P29)])
+    def test_frobenius_rows_refuse_slots_beyond_63_bits(self, n, p):
+        with pytest.raises(ValueError, match="63 bits"):
+            _frobenius_rows([1] + [0] * (n - 1) + [1], p)
+
+
+def _select_on_phi(c, n):
+    f = dynatomic_poly(MapSpec(2, Fraction(c)), n)
+    (part, mult), = f.squarefree_decomposition()
+    assert mult == 1
+    selected = _select_prime([x.numerator for x in part.coeffs])
+    return None if selected is None else (selected[0], sorted(len(u) - 1 for u in selected[1]))
+
+
+class TestSelectPrimePinned:
+    """Chosen prime and modular factor degrees, recorded before the rows were packed."""
+
+    @pytest.mark.parametrize("c, n, expected", [
+        ("-71/48", 6, (17, [1] * 6 + [24, 24])),
+        ("-2", 6, (11, [6] * 5 + [12, 12])),
+        ("1/3", 6, None),  # one prime proves Phi_6 irreducible
+        ("1/2", 7, (13, [28, 98])),
+        ("-1/3", 7, (11, [63, 63])),
+    ])
+    def test_pinned_cells(self, c, n, expected):
+        assert _select_on_phi(c, n) == expected
