@@ -32,12 +32,12 @@ from .rationals import format_rational
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """One Galois orbit of cycles: base factor, orbit, and its symmetric data.
+    """One Galois orbit of cycles: base factor, orbit, and its trace.
 
-    `orbit` lists the forward images of the class of z in Q[z]/(factor);
-    `symmetric_functions` are e_1..e_k of the orbit (k = exact_period) and
-    e_1 equals `trace`.  `merged_factors` lists every irreducible factor of
-    the dynatomic polynomial whose roots lie on this orbit of cycles.
+    `orbit` lists the forward images of the class of z in Q[z]/(factor) and
+    `trace` is their sum, e_1; `property_a.check_point` expands e_2..e_k
+    itself where it needs them.  `merged_factors` lists every irreducible
+    factor of the dynatomic polynomial whose roots lie on this orbit of cycles.
     """
 
     spec: MapSpec
@@ -47,7 +47,6 @@ class CycleRecord:
     field_degree: int
     exact_period: int
     orbit: tuple[AlgElement, ...]
-    symmetric_functions: tuple[AlgElement, ...]
     trace: AlgElement
     merged_factors: tuple[Poly, ...]
     quadratic_points: tuple[QuadraticElement, ...] | None
@@ -119,19 +118,6 @@ def _orbit_of_generator(
     )
 
 
-def _symmetric_functions(orbit: list[AlgElement], algebra: QuotientAlgebra) -> list[AlgElement]:
-    """e_1..e_k of the orbit, from expanding prod (T - z_i) in the algebra."""
-    coeffs = [algebra.one()]
-    for z in orbit:
-        nxt = [algebra.zero()] * (len(coeffs) + 1)
-        for j, cj in enumerate(coeffs):
-            nxt[j + 1] = nxt[j + 1] + cj
-            nxt[j] = nxt[j] - cj * z
-        coeffs = nxt
-    k = len(orbit)
-    return [coeffs[k - i] if (i % 2 == 0) else -coeffs[k - i] for i in range(1, k + 1)]
-
-
 def _build_record(
     factor: Poly, multiplicity: int, spec: MapSpec, n_requested: int, max_steps: int
 ) -> CycleRecord:
@@ -139,7 +125,6 @@ def _build_record(
     orbit, period = _orbit_of_generator(algebra, spec, max_steps)
     if len(set(orbit)) != len(orbit):
         raise NonPeriodicError("orbit revisited an element before returning to start")
-    sym = _symmetric_functions(orbit, algebra)
     d_field = algebra.degree
     quadratic: tuple[QuadraticElement, ...] | None = None
     if d_field == 1:
@@ -154,8 +139,7 @@ def _build_record(
         field_degree=d_field,
         exact_period=period,
         orbit=tuple(orbit),
-        symmetric_functions=tuple(sym),
-        trace=sym[0],
+        trace=sum(orbit[1:], orbit[0]),
         merged_factors=(algebra.modulus,),
         quadratic_points=quadratic,
     )
@@ -180,7 +164,10 @@ def _merge_records(records: list[CycleRecord]) -> list[CycleRecord]:
     some orbit element of the other (the orbit element itself is the explicit
     embedding certificate).  Minimal polynomials are only computed inside
     groups that share (field degree, exact period, multiplicity) and have
-    more than one member.
+    more than one member, and only for a record that starts a new owner:
+    an absorbed member's cycle is sigma(C) for the owner's cycle C and some
+    embedding sigma, and conjugates share a minimal polynomial, so the
+    owner's set already holds every factor its orbit meets.
     """
     groups: dict[tuple[int, int, int], list[CycleRecord]] = defaultdict(list)
     for rec in records:
@@ -193,12 +180,11 @@ def _merge_records(records: list[CycleRecord]) -> list[CycleRecord]:
             continue
         owners: list[tuple[CycleRecord, set[Poly], list[Poly]]] = []
         for rec in group:
-            minpolys = {minimal_polynomial(el) for el in rec.orbit}
             owner = next((o for o in owners if rec.factor in o[1]), None)
             if owner is None:
+                minpolys = {minimal_polynomial(el) for el in rec.orbit}
                 owners.append((rec, minpolys, [rec.factor]))
             else:
-                owner[1].update(minpolys)
                 owner[2].append(rec.factor)
         for rec, _, members in owners:
             kept_members[id(rec)] = members

@@ -20,7 +20,8 @@ exactly one independent cross-check, and a disagreement raises:
    equal the field conjugate of the start, for odd N no nonrational
    quadratic point can comply -- and the trace test.
 3. Any other record: the count relies on the Galois-orbit merge being
-   right, so the span computation `subfield_degree` recomputes D0.
+   right, so the span computation `subfield_degree` recomputes D0 from
+   e_1..e_N, expanded here from the record's orbit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .cycles import CycleRecord, cycles_from_dynatomic
 from .errors import ConsistencyError
 from .maps import MapSpec, dynatomic_degree
-from .numberfield import subfield_degree
+from .numberfield import AlgElement, subfield_degree
 from .polynomials import Poly
 from .rationals import format_rational, naive_height
 
@@ -62,6 +63,25 @@ class PointVerdict:
         }
 
 
+def _symmetric_functions(orbit: tuple[AlgElement, ...]) -> list[AlgElement]:
+    """e_1..e_k of the orbit, adding one point at a time: e_j += e_(j-1) * z."""
+    e = [orbit[0].parent.one()]
+    for z in orbit:
+        e.append(e[-1] * z)
+        for j in range(len(e) - 2, 0, -1):
+            e[j] = e[j] + e[j - 1] * z
+    return e[1:]
+
+
+def _is_whole_phi(record: CycleRecord, n: int) -> bool:
+    """True iff the record is all of Phi_n, which is then irreducible."""
+    return (
+        len(record.merged_factors) == 1
+        and record.multiplicity == 1
+        and record.field_degree == dynatomic_degree(record.spec.d, n)
+    )
+
+
 def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
     """Degree comparison D > D0 for a nonrational record of exact period n.
 
@@ -69,8 +89,8 @@ def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
     record's m merged factors, so the record must come from
     `cycles_from_dynatomic`: an unmerged record undercounts its cycles.
     Unless Phi_n is irreducible (the count is then a proof) or D = 2 (the
-    aggregate checks the quadratic fast path), D0 is recomputed from the
-    symmetric functions by `subfield_degree`.  A count that is not an
+    aggregate checks the quadratic fast path), `subfield_degree` recomputes
+    D0 from e_1..e_n, expanded here from the orbit.  A count that is not an
     integer, does not divide D, or disagrees raises ConsistencyError.
     """
     if record.field_degree < 2:
@@ -91,13 +111,8 @@ def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
         raise ConsistencyError(
             f"orbit field degree {d_orbit} does not divide cycle field degree {d_cycle}"
         )
-    irreducible = (
-        len(record.merged_factors) == 1
-        and record.multiplicity == 1
-        and d_cycle == dynatomic_degree(record.spec.d, n)
-    )
-    if not irreducible and d_cycle != 2:
-        spanned = subfield_degree(record.symmetric_functions)
+    if not _is_whole_phi(record, n) and d_cycle != 2:
+        spanned = subfield_degree(_symmetric_functions(record.orbit))
         if spanned != d_orbit:
             raise ConsistencyError(
                 f"cycle count gives D0 = {d_orbit} but the symmetric functions "
@@ -242,9 +257,7 @@ def check_aggregate(
         spec.d == 2
         and not include_rational
         and len(records) == 1
-        and records[0].multiplicity == 1
-        and len(records[0].merged_factors) == 1
-        and records[0].field_degree == phi_degree
+        and _is_whole_phi(records[0], n)
         and aggregate != HOLDS
     ):
         raise ConsistencyError(

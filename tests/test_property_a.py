@@ -21,6 +21,7 @@ from dynatomic.property_a import (
     HOLDS,
     RATIONAL_FALSIFIES,
     VACUOUS,
+    _symmetric_functions,
     check_aggregate,
     check_point,
     check_quadratic_cycle,
@@ -46,7 +47,6 @@ def synthetic_quadratic_record(modulus: Poly, orbit_reps, period: int, spec: Map
         field_degree=algebra.degree,
         exact_period=period,
         orbit=orbit,
-        symmetric_functions=(total,) * period,
         trace=total,
         merged_factors=(algebra.modulus,),
         quadratic_points=None,
@@ -104,7 +104,7 @@ def nonrational_exact(spec: MapSpec, n: int) -> list[CycleRecord]:
 def assert_count_matches_span(records, n):
     for rec in records:
         assert check_point(rec, n).orbit_field_degree == subfield_degree(
-            rec.symmetric_functions
+            _symmetric_functions(rec.orbit)
         )
 
 
@@ -229,7 +229,6 @@ class TestTraceTest:
             field_degree=2,
             exact_period=2,
             orbit=rec.orbit,
-            symmetric_functions=(algebra.generator(),) * 2,
             trace=algebra.generator(),
             merged_factors=(algebra.modulus,),
             quadratic_points=None,
@@ -291,6 +290,15 @@ class TestCheckAggregate:
         default = check_aggregate(MapSpec(2, Fraction(1)), 2)
         literal = check_aggregate(MapSpec(2, Fraction(1)), 2, include_rational=True)
         assert default.aggregate == literal.aggregate == HOLDS
+
+    def test_irreducible_period_eight(self):
+        # the N = 8 frontier: Phi_8 is irreducible of degree 240 at c = 1/3
+        report = check_aggregate(MapSpec(2, Fraction(1, 3)), 8)
+        assert report.aggregate == HOLDS
+        assert report.factor_degrees == (240,)
+        assert [(v.field_degree, v.orbit_field_degree) for v in report.verdicts] == [
+            (240, 30)
+        ]
 
     def test_degree_guard(self):
         with pytest.raises(DegreeGuardError):
