@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, isqrt, log2
+from math import isqrt
 
 from .polynomials import (
     Poly, _convolve, _gf_divmod, _gf_gcd, _gf_monic, _gf_mul, _gf_trunc, _trunc_sym,
@@ -206,7 +206,7 @@ def _hensel_lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[li
         return [_trunc_sym([c * inv for c in f], pl)]
     m = p
     k = r // 2
-    d = int(ceil(log2(l))) if l > 1 else 1
+    d = max(1, (l - 1).bit_length())  # ceil(log2(l)) quadratic steps reach p^l
     g: list[int] = [lc % p]
     for fac in facs[:k]:
         g = _gf_mul(g, fac, p)

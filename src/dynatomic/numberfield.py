@@ -16,7 +16,9 @@ from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 from .errors import NotQuadraticIrrational, ParentMismatchError
-from .polynomials import Poly, _convolve, _power, _zz_divmod, _zz_primitive
+from .polynomials import (
+    Poly, _convolve, _lift_common_denominator, _monic_scale, _power, _zz_divmod, _zz_primitive,
+)
 from .rationals import smallest_prime_factor
 
 _ZERO = Fraction(0)
@@ -29,7 +31,7 @@ class QuotientAlgebra:
     from a factorization); arithmetic works regardless, field axioms do not.
     """
 
-    __slots__ = ("modulus", "degree", "_scale", "_scale_powers", "_int_modulus")
+    __slots__ = ("modulus", "degree", "_scale_powers", "_int_modulus")
 
     def __init__(self, modulus: Poly):
         if modulus.degree() < 1:
@@ -38,14 +40,11 @@ class QuotientAlgebra:
         object.__setattr__(self, "modulus", modulus)
         d = modulus.degree()
         object.__setattr__(self, "degree", d)
-        scale = lcm(*(c.denominator for c in modulus.coeffs))
+        scale = _monic_scale(modulus.coeffs)  # divides the lcm of the denominators
         powers = [1] * (d + 1)
         for k in range(1, d + 1):
             powers[k] = powers[k - 1] * scale
-        # w = scale*z satisfies the monic integer polynomial below
-        int_mod = [modulus.coefficient(k).numerator * (powers[d - k] // modulus.coefficient(k).denominator)
-                   for k in range(d)] + [1]
-        object.__setattr__(self, "_scale", scale)
+        int_mod = _lift_common_denominator(modulus.coeffs, scale)[0]  # w = scale*z is its root
         object.__setattr__(self, "_scale_powers", tuple(powers))
         object.__setattr__(self, "_int_modulus", tuple(int_mod))
 

@@ -5,11 +5,12 @@
 `Poly` objects in the parameter c, i.e. an element of Q[c][z].
 
 Multiplication lifts coefficient vectors to a common integer denominator and
-convolves machine-free Python ints.  Below the classes sits the one list
-kernel for Z[x] and F_p[x]: gcds in Z[x] are built from F_p images by the
-Chinese remainder theorem and proved by exact division, and Yun's squarefree
-split runs on primitive integer forms.  Everything is exact; nothing here
-ever rounds.
+convolves machine-free Python ints; division over Q rescales z so that the
+divisor becomes monic in Z[x] and runs the Z[x] long division.  Below the
+classes sits the one list kernel for Z[x] and F_p[x]: gcds in Z[x] are built
+from F_p images by the Chinese remainder theorem and proved by exact
+division, and Yun's squarefree split runs on primitive integer forms.
+Everything is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -25,10 +26,24 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _lift_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Represent a rational vector as (integer vector, positive denominator)."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _lift_common_denominator(coeffs: Sequence[Fraction], s: int = 1) -> tuple[list[int], int]:
+    """(N, L): N_j = L*c_j*s^(n-j) for n = len(coeffs) - 1, with the least L > 0 making N integral."""
+    parts, pw = [], 1
+    for c in reversed(coeffs):
+        g = int_gcd(c.denominator, pw)
+        parts.append((c.numerator * (pw // g), c.denominator // g))
+        pw *= s
+    den = lcm(*(d for _, d in parts))
+    return [num * (den // d) for num, d in reversed(parts)], den
+
+
+def _monic_scale(h: Sequence[Fraction]) -> int:
+    """An s with s^(D-i)*h_i integral for every i, for monic h of degree D; greedy, no factoring."""
+    s, top = 1, len(h) - 1
+    for i in range(top - 1, -1, -1):
+        den = h[i].denominator
+        s *= den // int_gcd(den, s ** (top - i))
+    return s
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -232,6 +247,11 @@ class Poly(_Dense):
     # -- division ----------------------------------------------------------
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """Long division over Q run in Z[u], z = u/s: F = L*s^n*f(u/s) by G = s^D*h(u/s).
+
+        h = other/lc is monic of degree D, so G is monic in Z[u], and F = Q*G + R gives
+        q_i = Q_i/(L*lc*s^(deg q - i)) and r_i = R_i/(L*s^(n - i)) for n = deg f.
+        """
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -239,19 +259,13 @@ class Poly(_Dense):
             raise PolynomialZeroDivisionError("polynomial division by zero")
         if self.degree() < other.degree():
             return Poly.zero(), self
-        rem = list(self._coeffs)
-        div = other._coeffs
-        dd = len(div) - 1
-        lc = div[-1]
-        quot = [_ZERO] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c:
-                q = c / lc
-                quot[k - dd] = q
-                for i in range(dd + 1):
-                    rem[k - dd + i] -= q * div[i]
-        return Poly(quot), Poly(rem[:dd])
+        lc, h = other._coeffs[-1], other.monic()._coeffs
+        s = _monic_scale(h)
+        big_f, big_l = _lift_common_denominator(self._coeffs, s)
+        quot, rem = _zz_divmod(big_f, _lift_common_denominator(h, s)[0])
+        n, top, qden = len(big_f) - 1, len(quot) - 1, big_l * lc.numerator
+        q = [Fraction(c * lc.denominator, qden * s ** (top - i)) for i, c in enumerate(quot)]
+        return Poly(q), Poly([Fraction(c, big_l * s ** (n - i)) for i, c in enumerate(rem)])
 
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]

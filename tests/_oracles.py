@@ -7,7 +7,9 @@ irreducibility verdict exhausts every root subset.  The primitive-element
 sweep gets subfield degrees from minimal polynomials alone, independent of
 the span computation in `numberfield.subfield_degree`.  The list Berlekamp
 kernels are the elimination and the Frobenius loop that the packed-integer
-rows in `factorq` replaced, kept entry by entry so the two can be compared.
+rows in `factorq` replaced, kept entry by entry so the two can be compared,
+and `fraction_divmod` is the long division over Q that `Poly.__divmod__`
+replaced with a scaled division in Z[x].
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ from typing import Sequence
 
 import mpmath
 
-from dynatomic.errors import NonExactDivisionError, ParentMismatchError
+from dynatomic.errors import (
+    NonExactDivisionError,
+    ParentMismatchError,
+    PolynomialZeroDivisionError,
+)
 from dynatomic.factorq import _gf_pow_mod
 from dynatomic.numberfield import AlgElement, minimal_polynomial
 from dynatomic.polynomials import Poly, _gf_divmod, _gf_mul
@@ -104,6 +110,27 @@ def brute_force_rational_count(max_height: int) -> int:
             if gcd(abs(a), b) == 1 and max(abs(a), b) <= max_height:
                 total += 1
     return total
+
+
+def fraction_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """(q, r) with f = q*g + r and deg r < deg g, by long division over Fraction."""
+    if g.is_zero():
+        raise PolynomialZeroDivisionError("polynomial division by zero")
+    if f.degree() < g.degree():
+        return Poly.zero(), f
+    rem = list(f.coeffs)
+    div = g.coeffs
+    dd = len(div) - 1
+    lc = div[-1]
+    quot = [Fraction(0)] * (len(rem) - dd)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
+        if c:
+            q = c / lc
+            quot[k - dd] = q
+            for i in range(dd + 1):
+                rem[k - dd + i] -= q * div[i]
+    return Poly(quot), Poly(rem[:dd])
 
 
 def naive_gcd(f: Poly, g: Poly) -> Poly:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +250,24 @@ class TestHenselStep:
                 continue
             self._check_lifts(g, h, p, 4)
             done += 1
+
+    def test_step_count_exact(self, monkeypatch):
+        """ceil(log2 l) steps for l > 1 (one at l = 1), the last one stopping at p^l."""
+        import dynatomic.factorq as factorq
+
+        moduli = []
+
+        def step(m, f, g, h, s, t):
+            moduli.append(m)
+            return g, h, s, t
+
+        monkeypatch.setattr(factorq, "_hensel_step", step)
+        for l in range(1, 10**4 + 1):
+            moduli.clear()
+            factorq._hensel_lift(2, [0, 1, 1], [[0, 1], [1, 1]], l)
+            assert len(moduli) == (ceil(log2(l)) if l > 1 else 1)
+            top = 1 << l
+            assert moduli[-1] == top and (len(moduli) == 1 or moduli[-2] < top)
 
 
 PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 65521]

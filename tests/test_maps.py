@@ -16,8 +16,9 @@ from dynatomic.maps import (
     iterate_generic,
     verify_product_identity,
 )
-from dynatomic.polynomials import Poly, format_bipoly
-from dynatomic.rationals import enumerate_rationals_by_height
+from dynatomic.polynomials import Poly, _lift_common_denominator, _monic_scale, format_bipoly
+from dynatomic.rationals import divisors, enumerate_rationals_by_height, mobius
+from _oracles import fraction_divmod
 
 Z = Poly.identity()
 
@@ -82,6 +83,45 @@ class TestDynatomicPoly:
     def test_monic(self):
         for n in (1, 2, 3, 4):
             assert dynatomic_poly(MapSpec(2, Fraction(3, 5)), n).leading_coefficient() == 1
+
+
+PINNED_C = [Fraction(-71, 48), Fraction(7, 10), Fraction(-9, 10), Fraction(1, 3)]
+
+
+class TestScaledDivision:
+    """Phi_N through the scaled Z[x] division against the long division over Fraction."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("c", PINNED_C, ids=str)
+    def test_dynatomic_matches_fraction_division(self, d, c):
+        chain = [Z]
+        for _ in range(6):
+            chain.append(chain[-1] ** d + c)
+        for n in range(1, 7):
+            numerator = denominator = Poly.one()
+            for m in divisors(n):
+                if mobius(n // m) == 1:
+                    numerator = numerator * (chain[m] - Z)
+                elif mobius(n // m) == -1:
+                    denominator = denominator * (chain[m] - Z)
+            q, r = fraction_divmod(numerator, denominator)
+            assert r.is_zero()
+            assert dynatomic_poly(MapSpec(d, c), n) == q
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("c", PINNED_C, ids=str)
+    def test_scale_of_iterates(self, d, c):
+        b = c.denominator
+        for m in range(1, 5):
+            h = (iterate(MapSpec(d, c), m) - Z).coeffs
+            s = _monic_scale(h)
+            big_g, big_l = _lift_common_denominator(h, s)
+            assert big_l == 1 and big_g[-1] == 1  # s^D * h(u/s) is monic in Z[u]
+            assert _lift_common_denominator(h, b)[1] == 1  # so would be the scale b
+            # the greedy scale is b for phi - z and, at d = 2, for odd b; in
+            # general it can fall below b (24 at c = -71/48, m = 2) or exceed it
+            if m == 1 or (d == 2 and b % 2):
+                assert s == b
 
 
 class TestDynatomicGeneric:

@@ -85,9 +85,11 @@ class TestAlgebraArithmetic:
             assert a.element(x.representative) == x
 
     def test_products_over_scaled_modulus(self):
-        # modulus with denominators: products reduce in the basis w = 48*z
+        # modulus with denominators: products reduce in the basis w = 12*z, a
+        # root of w^3 + 72*w + 1332
         modulus = Z**3 + Fraction(1, 2) * Z + Fraction(37, 48)
         a = QuotientAlgebra(modulus)
+        assert a._int_modulus == (1332, 72, 0, 1)
         rng = random.Random(9)
         for _ in range(40):
             x, y = rand_element(rng, a), rand_element(rng, a)

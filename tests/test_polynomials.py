@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynatomic.errors import NonExactDivisionError, PolynomialZeroDivisionError
 from dynatomic.polynomials import (
@@ -19,7 +19,7 @@ from dynatomic.polynomials import (
     _zz_gcd,
 )
 from dynatomic.factorq import factor_over_q
-from _oracles import naive_gcd
+from _oracles import fraction_divmod, naive_gcd
 
 Z = Poly.identity()
 
@@ -120,6 +120,44 @@ class TestExactDiv:
             assert r.degree() < g.degree()
 
 
+# large and pairwise coprime denominators make the scale s of the Z[x] division large
+rationals = st.builds(
+    Fraction,
+    st.integers(-(10**12), 10**12),
+    st.sampled_from([1, 2, 77, 1024, 3**9]) | st.integers(1, 10**6),
+)
+nonzero_rationals = rationals.filter(bool)
+polys = st.lists(rationals, max_size=14).map(Poly)
+divisor_polys = st.builds(lambda low, lc: Poly(low + [lc]), st.lists(rationals, max_size=6), nonzero_rationals)
+
+
+class TestScaledDivision:
+    """divmod over Q runs in Z[x]; the long division over Fraction is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=polys, g=divisor_polys)
+    @example(f=Poly.zero(), g=Z**2 + Fraction(1, 77))
+    @example(f=Z + 1, g=Z**3 * Fraction(-5, 3) + 7)  # deg f < deg g
+    @example(f=Z**5 * Fraction(3, 1024) - Fraction(1, 3**9), g=Poly.constant(Fraction(-77, 2)))
+    @example(
+        f=Z**9 - Fraction(1, 3),
+        g=Poly([Fraction(1, 77), Fraction(1, 3**9), Fraction(1, 1024), Fraction(2, 5)]),
+    )
+    def test_matches_fraction_division(self, f, g):
+        assert divmod(f, g) == fraction_divmod(f, g)
+        assert f % g == fraction_divmod(f, g)[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=polys, g=divisor_polys, r=polys)
+    def test_exact_div_raises_on_remainder(self, q, g, r):
+        r = fraction_divmod(r, g)[1]  # deg r < deg g
+        if r.is_zero():
+            assert (q * g).exact_div(g) == q
+        else:
+            with pytest.raises(NonExactDivisionError):
+                (q * g + r).exact_div(g)
+
+
 class TestIntegerKernel:
     def test_convolve_empty_operand(self):
         assert _convolve([], [1, 2]) == []
@@ -140,7 +178,7 @@ class TestIntegerKernel:
             else:
                 f = [rng.randint(-20, 20) for _ in range(rng.randint(0, 12))]
             f = f + [0] * rng.randint(0, 2)  # trailing zeros are allowed in f
-            q, r = divmod(Poly(f), Poly(g))
+            q, r = fraction_divmod(Poly(f), Poly(g))
             integral = all(c.denominator == 1 for c in q.coeffs)
             outcomes[integral] += 1
             got = _zz_divmod(f, g)

@@ -255,9 +255,15 @@ class TestIrreducibilitySufficient:
         assert report.aggregate == HOLDS
 
 
+@pytest.fixture(scope="module")
+def six_cycle_report():
+    """d=2 N=6 c=-71/48, computed once for the tests that read it."""
+    return check_aggregate(MapSpec(2, Fraction(-71, 48)), 6)
+
+
 class TestCheckAggregate:
-    def test_six_cycle_holds(self):
-        report = check_aggregate(MapSpec(2, Fraction(-71, 48)), 6)
+    def test_six_cycle_holds(self, six_cycle_report):
+        report = six_cycle_report
         assert report.aggregate == HOLDS
         assert report.factor_degrees == (2, 2, 2, 48)
         quadratic = [v for v in report.verdicts if v.field_degree == 2]
@@ -308,9 +314,8 @@ class TestCheckAggregate:
         with pytest.raises(ValueError):
             check_aggregate(MapSpec(2, Fraction(0)), 1)
 
-    def test_json_schema(self):
-        report = check_aggregate(MapSpec(2, Fraction(-71, 48)), 6)
-        data = report.to_json_dict()
+    def test_json_schema(self, six_cycle_report):
+        data = six_cycle_report.to_json_dict()
         assert set(data.keys()) == {
             "d",
             "N",
