@@ -155,10 +155,7 @@ def cmd_factor(args) -> int:
             args.period is None and args.c is None,
             "give either a polynomial or -N/-c, not both",
         )
-        try:
-            target = parse_poly(args.poly)
-        except ValueError as exc:
-            _require(False, str(exc))
+        target = parse_poly(args.poly)  # main reports a ValueError as a usage error
     else:
         _require(args.period is not None and args.c is not None,
                  "need a polynomial argument or both -N and -c")

@@ -35,9 +35,10 @@ class CycleRecord:
     """One Galois orbit of cycles: base factor, orbit, and its trace.
 
     `orbit` lists the forward images of the class of z in Q[z]/(factor) and
-    `trace` is their sum, e_1; `property_a.check_point` expands e_2..e_k
-    itself where it needs them.  `merged_factors` lists every irreducible
-    factor of the dynatomic polynomial whose roots lie on this orbit of cycles.
+    `trace` is their sum, e_1.  `merged_factors` lists every irreducible
+    factor of the dynatomic polynomial whose roots lie on this orbit of
+    cycles: the minimal polynomials of the first k orbit elements, where the
+    cycle's stabiliser acts as kZ/NZ (see `property_a.check_point`).
     """
 
     spec: MapSpec
@@ -159,41 +160,37 @@ def orbit_in_algebra(factor: Poly, spec: MapSpec, max_steps: int = 100) -> Cycle
 def _merge_records(records: list[CycleRecord]) -> list[CycleRecord]:
     """Merge records whose factors meet the same Galois orbit of cycles.
 
-    Galois conjugation commutes with the map, so two factors belong to the
-    same orbit of cycles exactly when one equals the minimal polynomial of
-    some orbit element of the other (the orbit element itself is the explicit
-    embedding certificate).  Minimal polynomials are only computed inside
-    groups that share (field degree, exact period, multiplicity) and have
-    more than one member, and only for a record that starts a new owner:
-    an absorbed member's cycle is sigma(C) for the owner's cycle C and some
-    embedding sigma, and conjugates share a minimal polynomial, so the
-    owner's set already holds every factor its orbit meets.
+    Galois conjugation commutes with the map, so a Galois element moves z to
+    some phi^i(z), and the factors on the orbit of cycles of z are the
+    minimal polynomials of its orbit elements.  The i with phi^i(z) a root of
+    the record's own factor form a subgroup kZ/NZ, so phi^0(z), ...,
+    phi^(k-1)(z) already give every such factor, once each: a record not yet
+    absorbed walks its orbit until a minimal polynomial equals its factor.
+    Minimal polynomials are only computed inside groups that share (field
+    degree, exact period, multiplicity) and have more than one member.
     """
-    groups: dict[tuple[int, int, int], list[CycleRecord]] = defaultdict(list)
+    groups: dict[tuple[int, int, int], list[Poly]] = defaultdict(list)
     for rec in records:
-        groups[(rec.field_degree, rec.exact_period, rec.multiplicity)].append(rec)
+        groups[(rec.field_degree, rec.exact_period, rec.multiplicity)].append(rec.factor)
 
-    kept_members: dict[int, list[Poly]] = {}
-    for group in groups.values():
-        if len(group) == 1:
-            kept_members[id(group[0])] = [group[0].factor]
-            continue
-        owners: list[tuple[CycleRecord, set[Poly], list[Poly]]] = []
-        for rec in group:
-            owner = next((o for o in owners if rec.factor in o[1]), None)
-            if owner is None:
-                minpolys = {minimal_polynomial(el) for el in rec.orbit}
-                owners.append((rec, minpolys, [rec.factor]))
-            else:
-                owner[2].append(rec.factor)
-        for rec, _, members in owners:
-            kept_members[id(rec)] = members
-
+    absorbed: list[Poly] = []  # lists, not sets: hashing a Poly hashes every Fraction
     out = []
     for rec in records:  # preserve canonical factor order
-        if id(rec) in kept_members:
-            members = sorted(kept_members[id(rec)], key=lambda p: tuple(reversed(p.coeffs)))
-            out.append(replace(rec, merged_factors=tuple(members)))
+        if rec.factor in absorbed:
+            continue
+        group = groups[(rec.field_degree, rec.exact_period, rec.multiplicity)]
+        orbit_factors = [rec.factor]
+        if len(group) > 1:
+            for el in rec.orbit[1:]:
+                minpoly = minimal_polynomial(el)
+                if minpoly == rec.factor:
+                    break
+                orbit_factors.append(minpoly)
+        members = sorted(
+            (f for f in group if f in orbit_factors), key=lambda p: tuple(reversed(p.coeffs))
+        )
+        absorbed += members
+        out.append(replace(rec, merged_factors=tuple(members)))
     return out
 
 

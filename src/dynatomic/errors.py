@@ -22,7 +22,7 @@ class NonPeriodicError(RuntimeError):
 
 
 class DegreeGuardError(ValueError):
-    """Requested dynatomic degree exceeds the desk-scale guard."""
+    """Requested dynatomic or parsed polynomial degree exceeds the desk-scale guard."""
 
 
 class ConsistencyError(AssertionError):

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeGuardError
-from .polynomials import BiPoly, Poly
+from .polynomials import DEGREE_GUARD, BiPoly, Poly
 from .rationals import divisors, mobius
-
-DEGREE_GUARD = 5000
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,13 @@ from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import NonExactDivisionError, PolynomialZeroDivisionError
+from .errors import DegreeGuardError, NonExactDivisionError, PolynomialZeroDivisionError
 from .rationals import primes
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+DEGREE_GUARD = 5000
 
 
 def _lift_common_denominator(coeffs: Sequence[Fraction], s: int = 1) -> tuple[list[int], int]:
@@ -443,6 +445,10 @@ def _gf_mul(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
 
 
 def _gf_divmod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q*g + r mod p, deg r < deg g; p prime, or any modulus if g is monic.
+
+    The remainder is reduced once, at the end; with |g_i| < p it stays below len(q)*p^2.
+    """
     if not g:
         raise ZeroDivisionError("gf division by zero")
     rem = [c % p for c in f]
@@ -453,10 +459,11 @@ def _gf_divmod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[list[int], l
         c = rem[k] % p
         if c:
             q = c * inv % p
-            quot[k - dg] = q
-            for i in range(dg + 1):
-                rem[k - dg + i] = (rem[k - dg + i] - q * g[i]) % p
-    return _zz_normalize(quot), _zz_normalize(rem[:dg])
+            base = k - dg
+            quot[base] = q
+            for i in range(dg):
+                rem[base + i] -= q * g[i]
+    return _zz_normalize(quot), _gf_trunc(rem[:dg], p)
 
 
 def _gf_monic(f: Sequence[int], p: int) -> list[int]:
@@ -634,7 +641,8 @@ def parse_poly(text: str, var: str = "z") -> Poly:
     """Parse the canonical text form back into a Poly.
 
     Accepts optional whitespace, parenthesized signed rationals, '*' between
-    coefficient and variable, and '^' powers.
+    coefficient and variable, and '^' powers.  A degree above DEGREE_GUARD
+    raises DegreeGuardError before any dense coefficient list is built.
     """
     s = text.strip()
     if not s:
@@ -677,7 +685,9 @@ def parse_poly(text: str, var: str = "z") -> Poly:
     for tsign, term in terms:
         coeff, power = _parse_term(term, var, text)
         coeffs[power] = coeffs.get(power, _ZERO) + tsign * coeff
-    top = max(coeffs) if coeffs else 0
+    top = max((k for k, v in coeffs.items() if v), default=0)
+    if top > DEGREE_GUARD:
+        raise DegreeGuardError(f"polynomial degree {top} exceeds the guard {DEGREE_GUARD}")
     return Poly([coeffs.get(i, _ZERO) for i in range(top + 1)])
 
 

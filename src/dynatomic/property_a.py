@@ -16,12 +16,14 @@ exactly one independent cross-check, and a disagreement raises:
 1. Phi_N irreducible (m = 1, multiplicity 1, D = deg Phi_N): one factor is
    one conjugate orbit of cycles, so the count is a proof; for d = 2 the
    aggregate also checks that irreducibility forces a holding verdict.
-2. D = 2: the quadratic fast path -- for even N the half-way iterate must
-   equal the field conjugate of the start, for odd N no nonrational
+2. Any other record: the cycle's stabiliser.  A Galois element moves x to
+   some phi^i(x) (Vivaldi and Hatjispyros, Nonlinearity 5, 1992); the i with
+   phi^i(x) a root of the record's factor form a subgroup kZ/NZ, so
+   D/D0 = N/k.  k comes from Horner root tests at the orbit elements, apart
+   from the minimal polynomials that gave the merge its m.  For D = 2 the
+   aggregate adds the quadratic fast path -- for even N the half-way iterate
+   must equal the field conjugate of the start, for odd N no nonrational
    quadratic point can comply -- and the trace test.
-3. Any other record: the count relies on the Galois-orbit merge being
-   right, so the span computation `subfield_degree` recomputes D0 from
-   e_1..e_N, expanded here from the record's orbit.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from fractions import Fraction
 from .cycles import CycleRecord, cycles_from_dynatomic
 from .errors import ConsistencyError
 from .maps import MapSpec, dynatomic_degree
-from .numberfield import AlgElement, subfield_degree
+# Re-exported, not called: perfbench/inproc.py wraps subfield_degree here and
+# tests/test_package.py::test_benchmark_trace_hooks_resolve runs that hook.
+from .numberfield import subfield_degree  # noqa: F401
 from .polynomials import Poly
-from .rationals import format_rational, naive_height
+from .rationals import divisors, format_rational, naive_height
 
 EXCLUDE_RATIONAL = "exclude-rational"
 RATIONAL_FALSIFIES = "rational-falsifies"
@@ -63,16 +67,6 @@ class PointVerdict:
         }
 
 
-def _symmetric_functions(orbit: tuple[AlgElement, ...]) -> list[AlgElement]:
-    """e_1..e_k of the orbit, adding one point at a time: e_j += e_(j-1) * z."""
-    e = [orbit[0].parent.one()]
-    for z in orbit:
-        e.append(e[-1] * z)
-        for j in range(len(e) - 2, 0, -1):
-            e[j] = e[j] + e[j - 1] * z
-    return e[1:]
-
-
 def _is_whole_phi(record: CycleRecord, n: int) -> bool:
     """True iff the record is all of Phi_n, which is then irreducible."""
     return (
@@ -88,10 +82,10 @@ def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
     D0 = m*D/n counts the conjugate n-cycles among the m*D roots of the
     record's m merged factors, so the record must come from
     `cycles_from_dynatomic`: an unmerged record undercounts its cycles.
-    Unless Phi_n is irreducible (the count is then a proof) or D = 2 (the
-    aggregate checks the quadratic fast path), `subfield_degree` recomputes
-    D0 from e_1..e_n, expanded here from the orbit.  A count that is not an
-    integer, does not divide D, or disagrees raises ConsistencyError.
+    Unless the record is all of Phi_n (irreducible; the count is then a
+    proof), the cycle's stabiliser gives D0 = k*D/n a second time, with k
+    from root tests of the factor at the orbit elements.  A count that is not
+    an integer, does not divide D, or disagrees raises ConsistencyError.
     """
     if record.field_degree < 2:
         raise ValueError("rational points are handled at the aggregate level")
@@ -111,12 +105,13 @@ def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
         raise ConsistencyError(
             f"orbit field degree {d_orbit} does not divide cycle field degree {d_cycle}"
         )
-    if not _is_whole_phi(record, n) and d_cycle != 2:
-        spanned = subfield_degree(_symmetric_functions(record.orbit))
-        if spanned != d_orbit:
+    if not _is_whole_phi(record, n):
+        # the least k | n with phi^k(z) a root; phi^n(z) = z needs no test
+        k = next((i for i in divisors(n)[:-1] if record.factor(record.orbit[i]) == 0), n)
+        if k * d_cycle != conjugates:
             raise ConsistencyError(
-                f"cycle count gives D0 = {d_orbit} but the symmetric functions "
-                f"span a field of degree {spanned}"
+                f"cycle count gives D0 = {d_orbit} but the cycle's stabiliser "
+                f"gives D0 = {Fraction(k * d_cycle, n)}"
             )
     return PointVerdict(
         factor=record.factor,

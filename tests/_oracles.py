@@ -9,11 +9,18 @@ the span computation in `numberfield.subfield_degree`.  The list Berlekamp
 kernels are the elimination and the Frobenius loop that the packed-integer
 rows in `factorq` replaced, kept entry by entry so the two can be compared,
 and `fraction_divmod` is the long division over Q that `Poly.__divmod__`
-replaced with a scaled division in Z[x].
+replaced with a scaled division in Z[x].  `symmetric_functions` expands
+e_1..e_N of a cycle for the span computation `subfield_degree`, which
+recomputes the orbit field degree D0 that the decision layer gets from the
+cycle's stabiliser, and `owner_search_merge` is the merge that collected the
+minimal polynomials of every orbit element of each owner record, before
+`cycles._merge_records` stopped its walk at the stabiliser.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -21,6 +28,7 @@ from typing import Sequence
 
 import mpmath
 
+from dynatomic.cycles import CycleRecord
 from dynatomic.errors import (
     NonExactDivisionError,
     ParentMismatchError,
@@ -177,6 +185,46 @@ def subfield_degree_sweep(
         if d % best == 0 and streak >= d:
             break
     return best
+
+
+def symmetric_functions(orbit: Sequence[AlgElement]) -> list[AlgElement]:
+    """e_1..e_k of the orbit, adding one point at a time: e_j += e_(j-1) * z."""
+    e = [orbit[0].parent.one()]
+    for z in orbit:
+        e.append(e[-1] * z)
+        for j in range(len(e) - 2, 0, -1):
+            e[j] = e[j] + e[j - 1] * z
+    return e[1:]
+
+
+def owner_search_merge(records: list[CycleRecord]) -> list[CycleRecord]:
+    """Merge by owner search: each new owner takes the minimal polynomials of
+    all its orbit elements, and a later record joins the first owner whose
+    set holds its factor."""
+    groups: dict[tuple[int, int, int], list[CycleRecord]] = defaultdict(list)
+    for rec in records:
+        groups[(rec.field_degree, rec.exact_period, rec.multiplicity)].append(rec)
+    kept_members: dict[int, list[Poly]] = {}
+    for group in groups.values():
+        if len(group) == 1:
+            kept_members[id(group[0])] = [group[0].factor]
+            continue
+        owners: list[tuple[CycleRecord, set[Poly], list[Poly]]] = []
+        for rec in group:
+            owner = next((o for o in owners if rec.factor in o[1]), None)
+            if owner is None:
+                minpolys = {minimal_polynomial(el) for el in rec.orbit}
+                owners.append((rec, minpolys, [rec.factor]))
+            else:
+                owner[2].append(rec.factor)
+        for rec, _, members in owners:
+            kept_members[id(rec)] = members
+    out = []
+    for rec in records:
+        if id(rec) in kept_members:
+            members = sorted(kept_members[id(rec)], key=lambda p: tuple(reversed(p.coeffs)))
+            out.append(replace(rec, merged_factors=tuple(members)))
+    return out
 
 
 def list_frobenius_rows(f: list[int], p: int) -> list[list[int]]:

@@ -79,6 +79,13 @@ class TestFactor:
         code, _, _ = run_cli(capsys, "factor", "z**2 - 1")
         assert code == 1
 
+    def test_degree_guard_exit_two(self, capsys):
+        # refused once the top power is parsed, before a dense list is built
+        code, out, err = run_cli(capsys, "factor", "z^99999999 + 1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dynatomic: degree guard: ")
+
 
 class TestCycles:
     def test_jsonl_records(self, capsys):

@@ -5,18 +5,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dynatomic.errors import NonExactDivisionError, PolynomialZeroDivisionError
+from dynatomic.errors import (
+    DegreeGuardError,
+    NonExactDivisionError,
+    PolynomialZeroDivisionError,
+)
 from dynatomic.polynomials import (
+    DEGREE_GUARD,
     BiPoly,
     Poly,
     format_bipoly,
     format_poly,
     parse_poly,
     _convolve,
+    _gf_divmod,
     _lift_common_denominator,
+    _zz_add,
     _zz_derivative,
     _zz_divmod,
     _zz_gcd,
+    _zz_sub,
 )
 from dynatomic.factorq import factor_over_q
 from _oracles import fraction_divmod, naive_gcd
@@ -187,6 +195,28 @@ class TestIntegerKernel:
             else:
                 assert got is None
         assert min(outcomes.values()) >= 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f=st.lists(st.integers(-(10**6), 10**6), max_size=16),
+        g=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=7),
+        modulus=st.sampled_from(
+            # (modulus, prime); a composite modulus needs a monic divisor
+            [(2, True), (3, True), (13, True), (2**31 - 1, True),
+             (4, False), (12, False), (49, False), (3**40, False)]
+        ),
+    )
+    def test_gf_divmod_identity(self, f, g, modulus):
+        p, prime = modulus
+        if not prime:
+            g[-1] = 1
+        elif g[-1] % p == 0:
+            g[-1] += 1
+        q, r = _gf_divmod(f, g, p)
+        assert all(c % p == 0 for c in _zz_sub(f, _zz_add(_convolve(q, g), r)))
+        assert len(r) < len(g)  # deg r < deg g
+        assert all(0 <= c < p for c in q + r)
+        assert q[-1:] != [0] and r[-1:] != [0]
 
 
 class TestGcd:
@@ -448,6 +478,13 @@ class TestTextForm:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_poly(text)
+
+    def test_degree_guard(self):
+        assert parse_poly(f"z^{DEGREE_GUARD} - 1").degree() == DEGREE_GUARD
+        with pytest.raises(DegreeGuardError):
+            parse_poly(f"z^{DEGREE_GUARD + 1} - 1")
+        # the guard reads the degree, not the largest power written
+        assert parse_poly(f"z^{DEGREE_GUARD + 1} + z - z^{DEGREE_GUARD + 1}") == Z
 
 
 class TestRingBasics:

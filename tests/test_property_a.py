@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from dynatomic.cycles import (
     CycleRecord,
+    _build_record,
+    _merge_records,
     cycles_from_dynatomic,
     orbit_in_algebra,
     quadratic_cycles,
 )
 from dynatomic.errors import ConsistencyError, DegreeGuardError
-from dynatomic.factorq import is_irreducible
+from dynatomic.factorq import factor_over_q, is_irreducible
 from dynatomic.maps import MapSpec, dynatomic_degree, dynatomic_poly
 from dynatomic.numberfield import QuotientAlgebra, subfield_degree
 from dynatomic.polynomials import Poly
@@ -21,13 +23,13 @@ from dynatomic.property_a import (
     HOLDS,
     RATIONAL_FALSIFIES,
     VACUOUS,
-    _symmetric_functions,
     check_aggregate,
     check_point,
     check_quadratic_cycle,
     trace_test,
 )
 from dynatomic.rationals import enumerate_rationals_by_height
+from _oracles import owner_search_merge, symmetric_functions
 
 Z = Poly.identity()
 
@@ -104,12 +106,16 @@ def nonrational_exact(spec: MapSpec, n: int) -> list[CycleRecord]:
 def assert_count_matches_span(records, n):
     for rec in records:
         assert check_point(rec, n).orbit_field_degree == subfield_degree(
-            _symmetric_functions(rec.orbit)
+            symmetric_functions(rec.orbit)
         )
 
 
 class TestConjugateCycleCount:
-    """D0 = m*D/N agrees with the span computation of the orbit field."""
+    """D0 = m*D/N agrees with the span computation of the orbit field.
+
+    `check_point` itself cross-checks the count against the cycle's
+    stabiliser; the span computation here is the independent oracle.
+    """
 
     def test_small_grid(self):
         checked = 0
@@ -127,6 +133,7 @@ class TestConjugateCycleCount:
             (2, Fraction(0), 6),
             (2, Fraction(-2), 6),
             (3, Fraction(0), 4),
+            (2, Fraction(-2), 7),
         ],
     )
     def test_named_cells(self, d, c, n):
@@ -151,9 +158,16 @@ class TestConjugateCycleCount:
         with pytest.raises(ConsistencyError):
             check_point(rec)
 
-    def test_wrong_merge_caught_by_span(self):
+    def test_wrong_merge_caught_by_stabiliser(self):
         records = nonrational_exact(MapSpec(2, Fraction(0)), 4)
         (rec,) = [r for r in records if r.field_degree == 8]
+        doubled = replace(rec, merged_factors=rec.merged_factors * 2)
+        with pytest.raises(ConsistencyError):
+            check_point(doubled)
+
+    def test_wrong_quadratic_merge_caught_by_stabiliser(self):
+        # D = 2 records are cross-checked too, without the aggregate's fast path
+        (rec,) = quadratic_cycles(MapSpec(2, Fraction(1)), 2)
         doubled = replace(rec, merged_factors=rec.merged_factors * 2)
         with pytest.raises(ConsistencyError):
             check_point(doubled)
@@ -180,6 +194,33 @@ class TestConjugateCycleCount:
         for rec in exact:
             assert (len(rec.merged_factors) * rec.field_degree) % n == 0
         assert_count_matches_span([rec for rec in exact if rec.field_degree >= 2], n)
+
+
+def unmerged_records(spec: MapSpec, n: int) -> list[CycleRecord]:
+    return [
+        _build_record(factor.monic(), mult, spec, n, max_steps=n)
+        for factor, mult in factor_over_q(dynatomic_poly(spec, n)).factors
+    ]
+
+
+class TestOrbitWalkMerge:
+    """The merge's orbit walk groups factors as the owner search did."""
+
+    def test_matches_owner_search(self):
+        cells = [
+            (MapSpec(d, c), n)
+            for d, periods, max_height in ((2, range(2, 7), 4), (3, range(2, 5), 2))
+            for c in enumerate_rationals_by_height(max_height)
+            for n in periods
+        ]
+        cells.append((MapSpec(2, Fraction(-71, 48)), 6))  # three quadratic factors, k = 3
+        sizes = []
+        for spec, n in cells:
+            records = unmerged_records(spec, n)
+            walked = _merge_records(records)
+            assert walked == owner_search_merge(records)
+            sizes.extend(len(rec.merged_factors) for rec in walked)
+        assert max(sizes) == 3
 
 
 class TestCheckQuadraticCycle:
