@@ -14,6 +14,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NonPeriodicError
 from .factorq import factor_over_q
@@ -39,6 +40,8 @@ class CycleRecord:
     factor of the dynatomic polynomial whose roots lie on this orbit of
     cycles: the minimal polynomials of the first k orbit elements, where the
     cycle's stabiliser acts as kZ/NZ (see `property_a.check_point`).
+    `quadratic_points` and `discriminant` are computed when first read, since
+    realizing a quadratic point factors its discriminant and no verdict needs it.
     """
 
     spec: MapSpec
@@ -50,21 +53,25 @@ class CycleRecord:
     orbit: tuple[AlgElement, ...]
     trace: AlgElement
     merged_factors: tuple[Poly, ...]
-    quadratic_points: tuple[QuadraticElement, ...] | None
 
     @property
     def degenerate(self) -> bool:
         return self.exact_period < self.n_requested
 
+    @cached_property
+    def quadratic_points(self) -> tuple[QuadraticElement, ...] | None:
+        """The orbit as explicit a + b*sqrt(D) values when D <= 2, else None."""
+        if self.field_degree == 1:
+            return tuple(QuadraticElement.rational(el.as_rational()) for el in self.orbit)
+        if self.field_degree == 2:
+            return tuple(realize_quadratic(self.factor, self.orbit))
+        return None
+
     @property
     def discriminant(self) -> int | None:
         """Squarefree discriminant of the quadratic field, when D = 2."""
-        if self.quadratic_points is None:
-            return None
-        for point in self.quadratic_points:
-            if point.disc is not None:
-                return point.disc
-        return None
+        points = self.quadratic_points
+        return points[0].disc if points else None
 
     def rational_orbit(self) -> list[Fraction]:
         if self.field_degree != 1:
@@ -126,23 +133,16 @@ def _build_record(
     orbit, period = _orbit_of_generator(algebra, spec, max_steps)
     if len(set(orbit)) != len(orbit):
         raise NonPeriodicError("orbit revisited an element before returning to start")
-    d_field = algebra.degree
-    quadratic: tuple[QuadraticElement, ...] | None = None
-    if d_field == 1:
-        quadratic = tuple(QuadraticElement.rational(el.as_rational()) for el in orbit)
-    elif d_field == 2:
-        quadratic = tuple(realize_quadratic(algebra.modulus, orbit))
     return CycleRecord(
         spec=spec,
         n_requested=n_requested,
         factor=algebra.modulus,
         multiplicity=multiplicity,
-        field_degree=d_field,
+        field_degree=algebra.degree,
         exact_period=period,
         orbit=tuple(orbit),
         trace=sum(orbit[1:], orbit[0]),
         merged_factors=(algebra.modulus,),
-        quadratic_points=quadratic,
     )
 
 
@@ -206,7 +206,7 @@ def cycles_from_dynatomic(spec: MapSpec, n: int) -> list[CycleRecord]:
     phi_n = dynatomic_poly(spec, n)
     factorization = factor_over_q(phi_n)
     records = [
-        _build_record(factor.monic(), mult, spec, n, max_steps=n)
+        _build_record(factor, mult, spec, n, max_steps=n)
         for factor, mult in factorization.factors
     ]
     return _merge_records(records)

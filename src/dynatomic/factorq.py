@@ -133,32 +133,31 @@ def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[i
 
 
 def _berlekamp_split(fm: list[int], p: int, basis: list[list[int]]) -> list[list[int]]:
-    """Split monic squarefree fm mod p into monic irreducible factors (sorted)."""
+    """Split monic squarefree fm mod p into r = len(basis) >= 2 monic irreducibles (sorted)."""
     r = len(basis)
     factors = [fm]
-    if r > 1:
-        for v in basis:
-            vpoly = _zz_normalize(list(v))
-            if len(vpoly) <= 1:
-                continue  # constants never split anything
-            updated: list[list[int]] = []
-            for u in factors:
-                if len(u) - 1 <= 1:
-                    updated.append(u)
-                    continue
-                rem = u
-                for a in range(p):
-                    if len(rem) - 1 < 1:
-                        break
-                    g = _gf_gcd(rem, _zz_sub(vpoly, [a]), p)
-                    if len(g) - 1 >= 1:
-                        updated.append(g)
-                        rem = _gf_divmod(rem, g, p)[0]
-                if len(rem) - 1 >= 1:
-                    updated.append(rem)
-            factors = updated
-            if len(factors) == r:
-                break
+    for v in basis:
+        vpoly = _zz_normalize(list(v))
+        if len(vpoly) <= 1:
+            continue  # constants never split anything
+        updated: list[list[int]] = []
+        for u in factors:
+            if len(u) - 1 <= 1:
+                updated.append(u)
+                continue
+            rem = u
+            for a in range(p):
+                if len(rem) - 1 < 1:
+                    break
+                g = _gf_gcd(rem, _zz_sub(vpoly, [a]), p)
+                if len(g) - 1 >= 1:
+                    updated.append(g)
+                    rem = _gf_divmod(rem, g, p)[0]
+            if len(rem) - 1 >= 1:
+                updated.append(rem)
+        factors = updated
+        if len(factors) == r:
+            break
     factors.sort(key=lambda u: (len(u), u))
     return factors
 
@@ -245,7 +244,7 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
         if lc % p == 0:
             continue
         fp = _gf_trunc(f, p)
-        if len(fp) != len(f) or not _gf_is_squarefree(fp, p):
+        if not _gf_is_squarefree(fp, p):
             continue
         fm = _gf_monic(fp, p)
         basis = _nullspace_dimension_and_basis(_frobenius_rows(fm, p), p)
@@ -259,13 +258,13 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
 
 
 def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive squarefree integer polynomial, lc > 0."""
-    n = len(f) - 1
-    if n == 1:
-        return [list(f)]
-    if f[0] == 0:
-        # squarefree, so z divides exactly once
-        return sorted([[0, 1]] + _zz_factor_squarefree(f[1:]), key=lambda u: (len(u), u))
+    """Irreducible factors of a primitive squarefree integer polynomial, lc > 0.
+
+    A subset S of the lifted factors F_i is skipped unless
+    q = sym(b * prod_S F_i(0) mod p^l) divides b * rest(0), b = lc(rest): for a
+    true factor g with cofactor h, b * prod_S F_i = lc(h) * g mod p^l, so
+    q = lc(h) * g(0) and b * rest(0) = q * lc(g) * h(0).
+    """
     selected = _select_prime(f)
     if selected is None:
         return [list(f)]
@@ -285,21 +284,18 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     while 2 * s <= len(indices):
         found = False
         b = rest[-1]
-        tc = rest[0]
+        btc = b * rest[0]
         for subset in combinations(indices, s):
-            if b == 1:
-                q = b
-                for i in subset:
-                    q = q * lifted[i][0] % pl
-                q = q - pl if q > pl // 2 else q
-                if q and tc % q:
-                    continue
+            q = b
+            for i in subset:
+                q = q * lifted[i][0] % pl
+            q = q - pl if q > pl // 2 else q
+            if q and btc % q:
+                continue
             cand = [b]
             for i in subset:
                 cand = _convolve(cand, lifted[i])
             cand = _zz_primitive(_trunc_sym(cand, pl))
-            if cand and cand[0] and tc % cand[0]:
-                continue
             divided = _zz_divmod(rest, cand)
             if divided is not None and not divided[1]:
                 factors.append(cand)
@@ -311,7 +307,6 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
             s += 1
     if len(rest) - 1 >= 1:
         factors.append(rest)
-    factors.sort(key=lambda u: (len(u), list(reversed(u))))
     return factors
 
 

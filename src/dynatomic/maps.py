@@ -64,15 +64,6 @@ def iterate(spec: MapSpec, n: int) -> Poly:
     return _chain(Poly.identity(), Poly.constant(spec.c), spec.d, n)[n]
 
 
-def iterate_generic(d: int, n: int) -> BiPoly:
-    """The n-th iterate with the parameter c kept symbolic."""
-    if d < 2:
-        raise ValueError(f"map degree must be >= 2, got {d}")
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
-    return _chain(BiPoly.identity(), BiPoly.parameter(), d, n)[n]
-
-
 def dynatomic_degree(d: int, n: int) -> int:
     """Degree of the period-n dynatomic polynomial: sum mu(n/m) d^m over m | n."""
     if d < 2:

@@ -76,8 +76,8 @@ def _is_whole_phi(record: CycleRecord, n: int) -> bool:
     )
 
 
-def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
-    """Degree comparison D > D0 for a nonrational record of exact period n.
+def check_point(record: CycleRecord) -> PointVerdict:
+    """Degree comparison D > D0 for a nonrational record of exact period n = N requested.
 
     D0 = m*D/n counts the conjugate n-cycles among the m*D roots of the
     record's m merged factors, so the record must come from
@@ -89,7 +89,7 @@ def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
     """
     if record.field_degree < 2:
         raise ValueError("rational points are handled at the aggregate level")
-    n = record.n_requested if n is None else n
+    n = record.n_requested
     if record.exact_period != n:
         raise ValueError(
             f"record has exact period {record.exact_period}, expected {n}"
@@ -121,7 +121,7 @@ def check_point(record: CycleRecord, n: int | None = None) -> PointVerdict:
     )
 
 
-def check_quadratic_cycle(record: CycleRecord, n: int | None = None) -> bool:
+def check_quadratic_cycle(record: CycleRecord) -> bool:
     """Quadratic fast path: phi^(N/2)(z) must be the field conjugate of z.
 
     A nontrivial Galois element of a quadratic field has order 2, forcing the
@@ -130,11 +130,7 @@ def check_quadratic_cycle(record: CycleRecord, n: int | None = None) -> bool:
     """
     if record.field_degree != 2:
         raise ValueError("fast path applies to quadratic records only")
-    n = record.exact_period if n is None else n
-    if record.exact_period != n:
-        raise ValueError(
-            f"record has exact period {record.exact_period}, expected {n}"
-        )
+    n = record.exact_period
     if n % 2:
         return False
     start = record.orbit[0]
@@ -211,9 +207,9 @@ def check_aggregate(
     for rec in exact:
         if rec.field_degree < 2:
             continue
-        verdict = check_point(rec, n)
+        verdict = check_point(rec)
         if rec.field_degree == 2:
-            fast = check_quadratic_cycle(rec, n)
+            fast = check_quadratic_cycle(rec)
             if fast != verdict.holds:
                 raise ConsistencyError(
                     f"degree comparison ({verdict.holds}) and quadratic fast path "

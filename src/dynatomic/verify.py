@@ -241,23 +241,19 @@ def item_product_identity(ctx: CorpusContext) -> ItemResult:
 
 def item_degree_formula(ctx: CorpusContext) -> ItemResult:
     """deg of the period-N dynatomic polynomial matches the divisor-sum formula."""
+    cells = [(d, Fraction(0), n) for d in (2, 3, 4) for n in range(1, 7)]
+    cells += [
+        (d, c, n)
+        for d, c in ((2, Fraction(1)), (2, Fraction(-2, 3)), (3, Fraction(1, 2)))
+        for n in range(1, 5)
+    ]
     bad = []
-    checked = 0
-    for d in (2, 3, 4):
-        for n in range(1, 7):
-            expected = dynatomic_degree(d, n)
-            got = dynatomic_poly(MapSpec(d, Fraction(0)), n).degree()
-            checked += 1
-            if got != expected:
-                bad.append(f"d={d}, N={n}, c=0: degree {got} != {expected}")
-    for d, c in ((2, Fraction(1)), (2, Fraction(-2, 3)), (3, Fraction(1, 2))):
-        for n in range(1, 5):
-            expected = dynatomic_degree(d, n)
-            got = dynatomic_poly(MapSpec(d, c), n).degree()
-            checked += 1
-            if got != expected:
-                bad.append(f"d={d}, N={n}, c={format_rational(c)}: degree {got} != {expected}")
-    details = [f"checked {checked} (d, N, c) combinations",
+    for d, c, n in cells:
+        expected = dynatomic_degree(d, n)
+        got = dynatomic_poly(MapSpec(d, c), n).degree()
+        if got != expected:
+            bad.append(f"d={d}, N={n}, c={format_rational(c)}: degree {got} != {expected}")
+    details = [f"checked {len(cells)} (d, N, c) combinations",
                f"violations: {bad if bad else 'none'}"]
     return ItemResult("degree-formula", not bad, tuple(details))
 

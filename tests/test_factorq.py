@@ -152,6 +152,14 @@ class TestFactorProperties:
         assert fac.expand() == f
         assert sorted(p.degree() for p, _ in fac.factors) == [2, 3]
 
+    def test_recombination_with_leading_coefficient_and_z_factor(self):
+        # every prime splits the quartic, so recombination runs with lc 96 once z
+        # is found; pruning on q | rest(0) rather than q | lc * rest(0) rejects 2z + 3
+        f = Z * (2 * Z + 3) * (3 * Z**2 + 5) * (16 * Z**4 - 40 * Z**2 + 1)
+        fac = factor_over_q(f)
+        assert fac.expand() == f
+        assert [p.degree() for p, _ in fac.factors] == [1, 1, 2, 4]
+
 
 class TestRationalRoots:
     def test_period_two_at_minus_one(self):

@@ -13,7 +13,6 @@ from dynatomic.maps import (
     dynatomic_poly,
     dynatomic_poly_generic,
     iterate,
-    iterate_generic,
     verify_product_identity,
 )
 from dynatomic.polynomials import Poly, _lift_common_denominator, _monic_scale, format_bipoly
@@ -143,10 +142,6 @@ class TestDynatomicGeneric:
             assert dynatomic_poly_generic(d, n).evaluate_c(c) == dynatomic_poly(
                 MapSpec(d, c), n
             )
-
-    def test_generic_iterate_specializes(self):
-        c = Fraction(-3, 4)
-        assert iterate_generic(2, 3).evaluate_c(c) == iterate(MapSpec(2, c), 3)
 
 
 class TestDynatomicDegree:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynatomic.cycles
 from dynatomic.cycles import (
     CycleRecord,
     _build_record,
@@ -29,6 +30,7 @@ from dynatomic.property_a import (
     trace_test,
 )
 from dynatomic.rationals import enumerate_rationals_by_height
+from dynatomic.scan import scan_one
 from _oracles import owner_search_merge, symmetric_functions
 
 Z = Poly.identity()
@@ -51,7 +53,6 @@ def synthetic_quadratic_record(modulus: Poly, orbit_reps, period: int, spec: Map
         orbit=orbit,
         trace=total,
         merged_factors=(algebra.modulus,),
-        quadratic_points=None,
     )
 
 
@@ -83,14 +84,14 @@ class TestCheckPoint:
     def test_rejects_degenerate_records(self):
         rec = cycles_from_dynatomic(MapSpec(2, Fraction(-3, 4)), 2)[0]
         with pytest.raises(ValueError):
-            check_point(rec, 2)
+            check_point(rec)
 
     def test_divisibility_invariant(self):
         for c in (Fraction(1), Fraction(0), Fraction(-2), Fraction(3, 2)):
             for n in (2, 3, 4):
                 for rec in cycles_from_dynatomic(MapSpec(2, c), n):
                     if rec.field_degree >= 2 and rec.exact_period == n:
-                        v = check_point(rec, n)
+                        v = check_point(rec)
                         assert v.field_degree % v.orbit_field_degree == 0
                         assert v.holds == (v.field_degree > v.orbit_field_degree)
 
@@ -103,9 +104,9 @@ def nonrational_exact(spec: MapSpec, n: int) -> list[CycleRecord]:
     ]
 
 
-def assert_count_matches_span(records, n):
+def assert_count_matches_span(records):
     for rec in records:
-        assert check_point(rec, n).orbit_field_degree == subfield_degree(
+        assert check_point(rec).orbit_field_degree == subfield_degree(
             symmetric_functions(rec.orbit)
         )
 
@@ -123,7 +124,7 @@ class TestConjugateCycleCount:
             for c in enumerate_rationals_by_height(max_height):
                 for n in periods:
                     records = nonrational_exact(MapSpec(d, c), n)
-                    assert_count_matches_span(records, n)
+                    assert_count_matches_span(records)
                     checked += len(records)
         assert checked == 104
 
@@ -137,18 +138,18 @@ class TestConjugateCycleCount:
         ],
     )
     def test_named_cells(self, d, c, n):
-        assert_count_matches_span(nonrational_exact(MapSpec(d, c), n), n)
+        assert_count_matches_span(nonrational_exact(MapSpec(d, c), n))
 
     def test_multiplicity_two(self):
         (rec,) = nonrational_exact(MapSpec(2, Fraction(-7, 4)), 3)
         assert (rec.multiplicity, rec.field_degree) == (2, 3)
         assert check_point(rec).orbit_field_degree == 1
-        assert_count_matches_span([rec], 3)
+        assert_count_matches_span([rec])
 
     def test_merged_six_cycle(self):
         rec = quadratic_cycles(MapSpec(2, Fraction(-71, 48)), 6)[0]
         assert len(rec.merged_factors) == 3
-        assert_count_matches_span([rec], 6)
+        assert_count_matches_span([rec])
 
     def test_count_not_divisible_by_period(self):
         # m*D = 2 points cannot split into 3-cycles
@@ -193,7 +194,7 @@ class TestConjugateCycleCount:
         exact = [rec for rec in records if rec.exact_period == n]
         for rec in exact:
             assert (len(rec.merged_factors) * rec.field_degree) % n == 0
-        assert_count_matches_span([rec for rec in exact if rec.field_degree >= 2], n)
+        assert_count_matches_span([rec for rec in exact if rec.field_degree >= 2])
 
 
 def unmerged_records(spec: MapSpec, n: int) -> list[CycleRecord]:
@@ -272,7 +273,6 @@ class TestTraceTest:
             orbit=rec.orbit,
             trace=algebra.generator(),
             merged_factors=(algebra.modulus,),
-            quadratic_points=None,
         )
         assert not trace_test(rec)
 
@@ -310,6 +310,16 @@ class TestCheckAggregate:
         quadratic = [v for v in report.verdicts if v.field_degree == 2]
         assert len(quadratic) == 1
         assert quadratic[0].orbit_field_degree == 1
+
+    @pytest.mark.parametrize("c, n", [(Fraction(4, 1000000007), 2), (Fraction(-71, 48), 6)])
+    def test_verdicts_never_realize_quadratic_points(self, monkeypatch, c, n):
+        # realizing a + b*sqrt(D) factors D, which stalls at large heights
+        def refuse(*args):
+            raise AssertionError("quadratic points realized on the decision path")
+
+        monkeypatch.setattr(dynatomic.cycles, "realize_quadratic", refuse)
+        assert check_aggregate(MapSpec(2, c), n).aggregate == HOLDS
+        assert scan_one(2, c, n).aggregate == HOLDS
 
     def test_double_root_vacuous(self):
         report = check_aggregate(MapSpec(2, Fraction(-3, 4)), 2)
@@ -383,7 +393,7 @@ class TestConsistencySweep:
                 assert report.aggregate in (HOLDS, FAILS, VACUOUS)
                 for rec in report.records:
                     if rec.field_degree == 2 and rec.exact_period == n:
-                        assert check_point(rec, n).holds == check_quadratic_cycle(rec, n)
+                        assert check_point(rec).holds == check_quadratic_cycle(rec)
 
     def test_period_two_always_holds_or_vacuous(self):
         for c in enumerate_rationals_by_height(6):
