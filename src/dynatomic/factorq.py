@@ -6,6 +6,11 @@ Landau-Mignotte bound -> Zassenhaus subset recombination with trailing
 coefficient pruning and exact trial division.  Output is fully exact and
 deterministic; irreducible factors are primitive integer polynomials with
 positive leading coefficient, listed by (degree, coefficients).
+
+The Hensel step runs on big-integer kernels of `polynomials`: each product
+is one Kronecker-substitution multiply (`_convolve`) and each long division
+mod p^k runs on one packed int (`_gf_divmod`).  The last step of a lift
+skips the Bezout update, since both halves restart from a pair mod p.
 """
 
 from __future__ import annotations
@@ -172,18 +177,22 @@ def _hensel_step(
     h: list[int],
     s: list[int],
     t: list[int],
-) -> tuple[list[int], list[int], list[int], list[int]]:
+    bezout: bool = True,
+) -> tuple[list[int], list[int], list[int] | None, list[int] | None]:
     """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to the same mod mm.
 
     mm is m^2 or a divisor of it.  Requires h monic, so both divisions are
     exact mod mm and run there, where coefficients cannot grow; returns
-    (G, H, S, T) with H monic.
+    (G, H, S, T) with H monic.  With bezout false the update of (s, t), five
+    products and one division, is skipped and S = T = None.
     """
     e = _trunc_sym(_zz_sub(f, _convolve(g, h)), mm)
     q, r = _gf_divmod(_convolve(s, e), h, mm)
     q, r = _trunc_sym(q, mm), _trunc_sym(r, mm)
     big_g = _trunc_sym(_zz_add(g, _zz_add(_convolve(t, e), _convolve(q, g))), mm)
     big_h = _trunc_sym(_zz_add(h, r), mm)
+    if not bezout:
+        return big_g, big_h, None, None
     b = _trunc_sym(_zz_sub(_zz_add(_convolve(s, big_g), _convolve(t, big_h)), [1]), mm)
     c, d = _gf_divmod(_convolve(s, b), big_h, mm)
     c, d = _trunc_sym(c, mm), _trunc_sym(d, mm)
@@ -215,9 +224,10 @@ def _hensel_lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[li
     s, t = _gf_gcdex(g, h, p)
     g, h = _trunc_sym(g, p), _trunc_sym(h, p)
     s, t = _trunc_sym(s, p), _trunc_sym(t, p)
-    for _ in range(d):
+    for step in range(d):
         m = min(m * m, pl)  # the last step stops at p^l, not beyond it
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+        # the last (s, t) would go unread: each half restarts from a Bezout pair mod p
+        g, h, s, t = _hensel_step(m, f, g, h, s, t, bezout=step < d - 1)
     return _hensel_lift(p, g, facs[:k], l) + _hensel_lift(p, h, facs[k:], l)
 
 

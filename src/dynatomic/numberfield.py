@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import NotQuadraticIrrational, ParentMismatchError
 from .polynomials import (
     Poly, _convolve, _lift_common_denominator, _monic_scale, _power, _zz_divmod, _zz_primitive,
 )
-from .rationals import smallest_prime_factor
 
 _ZERO = Fraction(0)
 
@@ -304,20 +303,31 @@ def subfield_degree(generators: Sequence[AlgElement]) -> int:
 
 
 def _extract_square(n: int) -> tuple[int, int]:
-    """n = t^2 * s with s squarefree (sign kept on s); returns (t, s)."""
+    """n = t^2 * s with s squarefree (sign kept on s); returns (t, s).
+
+    Trial division runs only while p^3 <= m for the part m not yet split:
+    every prime factor of m then exceeds m^(1/3), so m is 1, q, q*r or q^2
+    for primes q != r, and one isqrt tells q^2 from the others.
+    """
     if n == 0:
         return 1, 0
     sign = -1 if n < 0 else 1
-    n = abs(n)
+    m = abs(n)
     t = s = 1
-    while n > 1:
-        p = smallest_prime_factor(n)
-        n //= p
-        if n % p == 0:
-            n //= p
+    p = 2
+    while p * p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
             t *= p
-        else:
+        if m % p == 0:
+            m //= p
             s *= p
+        p += 1 if p == 2 else 2
+    r = isqrt(m)
+    if r * r == m:
+        t *= r
+    else:
+        s *= m
     return t, sign * s
 
 

@@ -49,16 +49,66 @@ def _monic_scale(h: Sequence[Fraction]) -> int:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of integer coefficient lists; [] when either operand is empty."""
+    """Product of integer coefficient lists, len(a) + len(b) - 1 entries; [] when either is empty.
+
+    Operands with fewer than 8 coefficients go through the schoolbook loop.
+    Otherwise the gcd g of the nonzero exponents of both operands is divided
+    out first (a[::g] times b[::g], scattered back), and the rest is one
+    Kronecker-substitution product: coefficient i goes to byte-aligned slot i
+    of w >= bitlen(max|a|) + bitlen(max|b|) + bitlen(min(len a, len b)) + 1
+    bits, so every product coefficient c has |c| < 2^(w-1) and comes back
+    from its own slot once the bias 2^(w-1) is added to each.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+    n = len(a) + len(b) - 1
+    if min(len(a), len(b)) < 8:
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] += ai * bj
+        return out
+    g = _exponent_gcd(b, _exponent_gcd(a, 0)) or n  # 0: no nonzero term above degree 0
+    if g > 1:
+        part = _convolve(a[::g], b[::g])
+        out = [0] * n
+        out[: g * (len(part) - 1) + 1 : g] = part
+        return out
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    nb = (bits + min(len(a), len(b)).bit_length() + 8) // 8  # w = 8*nb bits
+    half = 1 << (8 * nb - 1)
+    x = _slot_pack([c + half for c in a], nb) - _ks_bias(len(a), nb)
+    y = x if b is a else _slot_pack([c + half for c in b], nb) - _ks_bias(len(b), nb)
+    return [c - half for c in _slot_unpack(x * y + _ks_bias(n, nb), n, nb)]
+
+
+def _exponent_gcd(a: Sequence[int], g: int) -> int:
+    """gcd of g and the exponents of the nonzero terms of a."""
+    for i in range(1, len(a)):
+        if a[i]:
+            g = int_gcd(g, i)
+            if g == 1:
+                break
+    return g
+
+
+def _ks_bias(n: int, nb: int) -> int:
+    """2^(8*nb - 1) in each of n slots of nb bytes."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
+
+def _slot_pack(vals: Sequence[int], nb: int) -> int:
+    """sum vals_i * 2^(8*nb*i) for 0 <= vals_i < 2^(8*nb)."""
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in vals]), "little")
+
+
+def _slot_unpack(x: int, n: int, nb: int) -> list[int]:
+    """The n lowest slots of nb bytes of x >= 0."""
+    z = (x & ((1 << 8 * nb * n) - 1)).to_bytes(nb * n, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(z[i : i + nb], "little") for i in range(0, nb * n, nb)]
 
 
 def _power(base, n: int, one):
@@ -447,23 +497,45 @@ def _gf_mul(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
 def _gf_divmod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     """(q, r) with f = q*g + r mod p, deg r < deg g; p prime, or any modulus if g is monic.
 
-    The remainder is reduced once, at the end; with |g_i| < p it stays below len(q)*p^2.
+    A quotient of k < 8 coefficients comes from a lazy loop that reduces the
+    remainder once, at the end (|entries| stay below k*p^2).  Longer ones run
+    on one int holding the deg g + 1 coefficients of the running remainder
+    that the next quotient term touches, in byte-aligned slots: that term
+    adds q*(-g_i mod p) to slot i and clears the top slot mod p, which then
+    drops out as the next coefficient of f comes in at the bottom.  A slot
+    holds a residue plus at most k such terms, so it stays below
+    k(p-1)^2 + p and never carries into the next.
     """
     if not g:
         raise ZeroDivisionError("gf division by zero")
-    rem = [c % p for c in f]
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
-    quot = [0] * max(len(rem) - dg, 0)
-    for k in range(len(rem) - 1, dg - 1, -1):
-        c = rem[k] % p
+    k = max(len(f) - dg, 0)
+    quot = [0] * k
+    if k < 8:
+        rem = [c % p for c in f]
+        for i in range(k - 1, -1, -1):
+            c = rem[i + dg] % p
+            if c:
+                q = c * inv % p
+                quot[i] = q
+                for j in range(dg):
+                    rem[i + j] -= q * g[j]
+        return _zz_normalize(quot), _gf_trunc(rem[:dg], p)
+    nb = ((k * (p - 1) ** 2 + p).bit_length() + 7) // 8
+    w, low = 8 * nb, (1 << 8 * nb * dg) - 1
+    rem = [c % p for c in f]
+    neg_g = _slot_pack([-c % p for c in g], nb)
+    x = _slot_pack(rem[k:], nb)
+    for i in range(k - 1, -1, -1):
+        x = x << w | rem[i]  # slots i .. i + dg of the running remainder
+        c = (x >> w * dg) % p
         if c:
             q = c * inv % p
-            base = k - dg
-            quot[base] = q
-            for i in range(dg):
-                rem[base + i] -= q * g[i]
-    return _zz_normalize(quot), _gf_trunc(rem[:dg], p)
+            quot[i] = q
+            x += q * neg_g
+        x &= low
+    return _zz_normalize(quot), _gf_trunc(_slot_unpack(x, dg, nb), p)
 
 
 def _gf_monic(f: Sequence[int], p: int) -> list[int]:

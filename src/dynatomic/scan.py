@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
@@ -110,6 +109,8 @@ def map_cells(fn: Callable, cells: Iterable, jobs: int) -> Iterator:
     if jobs <= 1:
         yield from map(fn, cells)
         return
+    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: pools only
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(fn, cells, chunksize=4)
 

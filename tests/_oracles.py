@@ -14,7 +14,12 @@ e_1..e_N of a cycle for the span computation `subfield_degree`, which
 recomputes the orbit field degree D0 that the decision layer gets from the
 cycle's stabiliser, and `owner_search_merge` is the merge that collected the
 minimal polynomials of every orbit element of each owner record, before
-`cycles._merge_records` stopped its walk at the stabiliser.
+`cycles._merge_records` stopped its walk at the stabiliser.  The list kernels
+`schoolbook_convolve` and `lazy_gf_divmod` are the loops that the
+Kronecker-substitution product and the packed long division in `polynomials`
+replaced above their size cutoffs, run at every size, and
+`trial_extract_square` splits off squares by trial division up to sqrt(n),
+as `numberfield._extract_square` did before it stopped at the cube root.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from dynatomic.errors import (
 from dynatomic.factorq import _gf_pow_mod
 from dynatomic.numberfield import AlgElement, minimal_polynomial
 from dynatomic.polynomials import Poly, _gf_divmod, _gf_mul
+from dynatomic.rationals import smallest_prime_factor
 
 # 70 decimal digits ~ 230 bits
 ORACLE_DPS = 70
@@ -273,3 +279,57 @@ def list_nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
             v[pcol] = (-a[prow][col]) % p
         basis.append(v)
     return basis
+
+
+def schoolbook_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer coefficient lists, len(a) + len(b) - 1 entries; [] if either is empty."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _strip(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def lazy_gf_divmod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q*g + r mod p, deg r < deg g; the remainder is reduced once, at the end."""
+    rem = [c % p for c in f]
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    quot = [0] * max(len(rem) - dg, 0)
+    for k in range(len(rem) - 1, dg - 1, -1):
+        c = rem[k] % p
+        if c:
+            q = c * inv % p
+            base = k - dg
+            quot[base] = q
+            for i in range(dg):
+                rem[base + i] -= q * g[i]
+    return _strip(quot), _strip([c % p for c in rem[:dg]])
+
+
+def trial_extract_square(n: int) -> tuple[int, int]:
+    """n = t^2 * s with s squarefree (sign kept on s), one smallest prime factor at a time."""
+    if n == 0:
+        return 1, 0
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    t = s = 1
+    while n > 1:
+        p = smallest_prime_factor(n)
+        n //= p
+        if n % p == 0:
+            n //= p
+            t *= p
+        else:
+            s *= p
+    return t, sign * s

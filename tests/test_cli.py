@@ -102,6 +102,15 @@ class TestCycles:
         assert code == 0
         assert "degenerate" in out
 
+    def test_text_format_at_large_height(self, capsys):
+        # the discriminant -3000000037 * 1000000007 has two prime factors above its cube root
+        code, out, _ = run_cli(
+            capsys, "cycles", "-d", "2", "-N", "2", "-c", "4/1000000007", "--format", "text"
+        )
+        assert code == 0
+        assert "sqrt(-3000000058000000259)" in out
+        assert "-1/2 + 1/2000000014*sqrt(-3000000058000000259)" in out
+
 
 class TestCheck:
     def test_holds_json(self, capsys):

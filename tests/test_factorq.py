@@ -263,19 +263,47 @@ class TestHenselStep:
         """ceil(log2 l) steps for l > 1 (one at l = 1), the last one stopping at p^l."""
         import dynatomic.factorq as factorq
 
-        moduli = []
+        moduli, updates = [], []
 
-        def step(m, f, g, h, s, t):
+        def step(m, f, g, h, s, t, bezout=True):
             moduli.append(m)
+            updates.append(bezout)
             return g, h, s, t
 
         monkeypatch.setattr(factorq, "_hensel_step", step)
         for l in range(1, 10**4 + 1):
             moduli.clear()
+            updates.clear()
             factorq._hensel_lift(2, [0, 1, 1], [[0, 1], [1, 1]], l)
             assert len(moduli) == (ceil(log2(l)) if l > 1 else 1)
             top = 1 << l
             assert moduli[-1] == top and (len(moduli) == 1 or moduli[-2] < top)
+            # only the last step, whose (s, t) nobody reads, skips the Bezout update
+            assert updates == [True] * (len(updates) - 1) + [False]
+
+    def test_last_step_factors_do_not_need_the_bezout_update(self):
+        from dynatomic.factorq import _gf_gcdex, _hensel_step
+        from dynatomic.polynomials import _convolve, _gf_gcd, _trunc_sym
+
+        rng = random.Random(11)
+        done = 0
+        while done < 20:
+            g = [rng.randint(-999, 999) for _ in range(rng.randint(2, 12))] + [rng.randint(1, 50)]
+            h = [rng.randint(-999, 999) for _ in range(rng.randint(1, 12))] + [1]
+            p = rng.choice([3, 5, 7, 11])
+            if g[-1] % p == 0 or len(_gf_gcd(g, h, p)) != 1:
+                continue
+            f = _convolve(g, h)
+            s, t = (_trunc_sym(x, p) for x in _gf_gcdex(g, h, p))
+            g, h = _trunc_sym(g, p), _trunc_sym(h, p)
+            m = p
+            for _ in range(rng.randint(0, 3)):
+                m *= m
+                g, h, s, t = _hensel_step(m, f, g, h, s, t)
+            top = m * m // rng.choice([1, p])  # a last step may stop below m^2
+            full = _hensel_step(top, f, g, h, s, t)
+            assert _hensel_step(top, f, g, h, s, t, bezout=False) == full[:2] + (None, None)
+            done += 1
 
 
 PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 65521]

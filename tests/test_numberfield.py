@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dynatomic.errors import NotQuadraticIrrational, ParentMismatchError
 from dynatomic.factorq import is_irreducible
 from dynatomic.numberfield import (
     QuadraticElement,
+    _extract_square,
     QuotientAlgebra,
     apply_phi,
     as_quadratic,
@@ -15,7 +17,7 @@ from dynatomic.numberfield import (
     subfield_degree,
 )
 from dynatomic.polynomials import Poly
-from _oracles import subfield_degree_sweep
+from _oracles import subfield_degree_sweep, trial_extract_square
 
 Z = Poly.identity()
 CYCLO7 = Poly([1] * 7)
@@ -259,6 +261,38 @@ class TestAsQuadratic:
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
             as_quadratic(Z**3 - 2)
+
+
+class TestExtractSquare:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        root=st.integers(1, 10007),
+        rest=st.integers(1, 10**6),
+        other=st.sampled_from([1, 9973, 10007, 10009]),
+        sign=st.sampled_from([1, -1]),
+    )
+    @example(root=10007, rest=1, other=1, sign=1)  # q^2 left after trial division
+    @example(root=1, rest=10007, other=10009, sign=-1)  # q*r left
+    @example(root=1, rest=1, other=1, sign=1)
+    def test_matches_trial_division(self, root, rest, other, sign):
+        n = sign * root * root * rest * other
+        t, s = _extract_square(n)
+        assert (t, s) == trial_extract_square(n)
+        assert t * t * s == n
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (0, (1, 0)),
+            (-1, (1, -1)),
+            (3000000037 * 1000000007, (1, 3000000037 * 1000000007)),
+            (-3 * 1000000007**2, (1000000007, -3)),
+            (2**5 * 3**3 * 1000000007**2, (2**2 * 3 * 1000000007, 6)),
+            (1000000007 * 1000000009, (1, 1000000007 * 1000000009)),
+        ],
+    )
+    def test_large_prime_factors(self, n, expected):
+        assert _extract_square(n) == expected
 
 
 class TestQuadraticElement:

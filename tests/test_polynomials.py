@@ -27,7 +27,7 @@ from dynatomic.polynomials import (
     _zz_sub,
 )
 from dynatomic.factorq import factor_over_q
-from _oracles import fraction_divmod, naive_gcd
+from _oracles import fraction_divmod, lazy_gf_divmod, naive_gcd, schoolbook_convolve
 
 Z = Poly.identity()
 
@@ -166,11 +166,46 @@ class TestScaledDivision:
                 (q * g + r).exact_div(g)
 
 
+@st.composite
+def convolve_operands(draw):
+    """Two integer lists around the schoolbook cutoff of 8: a shared stride,
+    sparse or dense, coefficient sizes drawn apart, signs mixed, trailing zeros."""
+    stride = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    pair = []
+    for _ in range(2):
+        n = draw(st.one_of(st.sampled_from([1, 7, 8, 9]), st.integers(1, 48)))
+        bound = 1 << draw(st.sampled_from([0, 9, 64, 300, 1500]))
+        vals = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        keep = draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)))
+        op = [v if k and i % stride == 0 else 0 for i, (v, k) in enumerate(zip(vals, keep))]
+        pair.append(op + [0] * draw(st.integers(0, 3)))
+    return pair
+
+
 class TestIntegerKernel:
     def test_convolve_empty_operand(self):
         assert _convolve([], [1, 2]) == []
         assert _convolve([3, -1], []) == []
         assert _convolve([], []) == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(ops=convolve_operands())
+    @example(ops=[[0] * 9, [0] * 8])  # no nonzero exponent at all
+    @example(ops=[[5] + [0] * 8, [-3] + [0] * 10])  # constants with trailing zeros
+    @example(ops=[[1] + [0] * 8 + [2], [0, 0, 0, 1] * 4])  # gcd of exponents 9 and 3
+    def test_convolve_matches_schoolbook(self, ops):
+        a, b = ops
+        assert _convolve(a, b) == schoolbook_convolve(a, b)
+        assert _convolve(a, a) == schoolbook_convolve(a, a)
+
+    @pytest.mark.parametrize("n", [8, 9, 127, 128])
+    def test_convolve_extreme_slots(self, n):
+        # every product coefficient at its extreme, for slot widths on and off byte
+        # boundaries: m = 2^k makes bitlen one above 2^k - 1 at the same magnitude
+        for k in range(1, 20):
+            for m in (2**k - 1, 2**k):
+                for a, b in (([m] * n, [m] * n), ([m] * n, [-m] * n), ([-m] * n, [m, -m] * n)):
+                    assert _convolve(a, b) == schoolbook_convolve(a, b)
 
     def test_divmod_matches_rational_division(self):
         rng = random.Random(41)
@@ -217,6 +252,31 @@ class TestIntegerKernel:
         assert len(r) < len(g)  # deg r < deg g
         assert all(0 <= c < p for c in q + r)
         assert q[-1:] != [0] and r[-1:] != [0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        f=st.one_of(
+            st.lists(st.integers(-(10**40), 10**40), max_size=40),
+            st.lists(st.integers(0, 2**130), max_size=40),
+        ),
+        g=st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=12),
+        modulus=st.sampled_from(
+            # (modulus, prime); a prime power needs a monic divisor
+            [(2, True), (3, True), (65521, True), (2**61 - 1, True), (2**127 - 1, True),
+             (4, False), (3**40, False), (5**100, False)]
+        ),
+        pad=st.integers(0, 3),
+    )
+    @example(f=[1] * 16, g=[1] * 9, modulus=(2, True), pad=0)  # quotient of 8 terms
+    @example(f=[2**61 - 2] * 20, g=[1] * 10, modulus=(2**61 - 1, True), pad=0)
+    def test_gf_divmod_matches_lazy_loop(self, f, g, modulus, pad):
+        p, prime = modulus
+        if not prime:
+            g[-1] = 1
+        elif g[-1] % p == 0:
+            g[-1] += 1
+        f = f + [0] * pad  # trailing zeros lengthen the quotient loop, not the quotient
+        assert _gf_divmod(f, g, p) == lazy_gf_divmod(f, g, p)
 
 
 class TestGcd:
