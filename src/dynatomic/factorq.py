@@ -2,10 +2,21 @@
 
 Pipeline: primitive integer form -> squarefree (Yun) decomposition -> modular
 factorization (deterministic Berlekamp) -> quadratic Hensel lifting to a
-Landau-Mignotte bound -> Zassenhaus subset recombination with trailing
-coefficient pruning and exact trial division.  Output is fully exact and
-deterministic; irreducible factors are primitive integer polynomials with
-positive leading coefficient, listed by (degree, coefficients).
+half-degree Mignotte bound -> Zassenhaus subset recombination with a
+next-to-leading coefficient gate, trailing coefficient pruning and exact
+trial division.  Output is fully exact and deterministic; irreducible
+factors are primitive integer polynomials with positive leading coefficient,
+listed by (degree, coefficients).
+
+The lift stops at p^l > 2B with B = C(k, k // 2) * (isqrt(sum a_i^2) + 1),
+k = deg f // 2.  Every split rest = g * h of a divisor of f has one side of
+degree at most deg(rest) / 2 <= k; for that side, b * prod F_i = lc(h) * g
+mod p^l with b = lc(rest), and |lc(h) * g_j| <= C(deg g, j) M(rest) <= B
+(Mignotte 1974, Landau), so lc f plays no part.  Zassenhaus therefore
+rebuilds, for each subset of lifted factors, whichever of it and its
+complement has degree at most deg(rest) / 2, and gates that side on its
+next-to-leading coefficient, which the same bound covers (Abbott, Shoup and
+Zimmermann 2000).
 
 The Hensel step runs on big-integer kernels of `polynomials`: each product
 is one Kronecker-substitution multiply (`_convolve`) and each long division
@@ -19,7 +30,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import comb, isqrt
 
 from .polynomials import (
     Poly, _convolve, _gf_divmod, _gf_gcd, _gf_monic, _gf_mul, _gf_trunc, _trunc_sym,
@@ -66,18 +77,28 @@ def _gf_is_squarefree(f: list[int], p: int) -> bool:
 
 
 # -- deterministic Berlekamp on packed rows ---------------------------------
-# Entry i of a row over F_p sits in 64-bit slot i of one int, so a row
-# operation is one big-integer multiply-add, exact while no slot carries.
+# Entry i of a row over F_p sits in slot i of one int, so a row operation is
+# one big-integer multiply-add, exact while no slot carries.  Each kernel
+# takes the narrowest struct slot (8, 16, 32 or 64 bits) that holds the slot
+# bound its docstring states; a 64-bit slot keeps its top bit clear.
 
-_MASK = (1 << 64) - 1
-
-
-def _pack(vals: list[int]) -> int:
-    return int.from_bytes(struct.pack(f"<{len(vals)}Q", *vals), "little")
+_SLOTS = ((8, "B"), (16, "H"), (32, "I"), (63, "Q"))
 
 
-def _unpack(x: int, n: int) -> tuple[int, ...]:
-    return struct.unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
+def _slot(bound: int) -> str:
+    """struct code of the narrowest slot holding every value up to bound."""
+    for bits, code in _SLOTS:
+        if bound.bit_length() <= bits:
+            return code
+    raise ValueError("packed F_p rows would need slots beyond 63 bits")
+
+
+def _pack(vals: list[int], code: str) -> int:
+    return int.from_bytes(struct.pack(f"<{len(vals)}{code}", *vals), "little")
+
+
+def _unpack(x: int, n: int, code: str) -> tuple[int, ...]:
+    return struct.unpack(f"<{n}{code}", x.to_bytes(struct.calcsize(code) * n, "little"))
 
 
 def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
@@ -88,17 +109,18 @@ def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
     below (2n - 1)(p - 1)^2 + 1; ValueError if that bound exceeds 63 bits.
     """
     n = len(f) - 1
-    if ((2 * n - 1) * (p - 1) ** 2).bit_length() > 63:
-        raise ValueError("packed F_p rows would need slots beyond 63 bits")
-    zp = _pack(_gf_pow_mod([0, 1], p, f, p))
-    fneg = _pack([(p - c) % p for c in f])
+    code = _slot((2 * n - 1) * (p - 1) ** 2)
+    w = 8 * struct.calcsize(code)
+    mask = (1 << w) - 1
+    zp = _pack(_gf_pow_mod([0, 1], p, f, p), code)
+    fneg = _pack([(p - c) % p for c in f], code)
     rows = [[1] + [0] * (n - 1)]
     for _ in range(1, n):
-        x = _pack(rows[-1]) * zp
+        x = _pack(rows[-1], code) * zp
         for k in range(2 * n - 2, n - 1, -1):
-            if c := (x >> 64 * k & _MASK) % p:
-                x += c * fneg << 64 * (k - n)
-        rows.append([v % p for v in _unpack(x & ((1 << 64 * n) - 1), n)])
+            if c := (x >> w * k & mask) % p:
+                x += c * fneg << w * (k - n)
+        rows.append([v % p for v in _unpack(x & ((1 << w * n) - 1), n, code)])
     return rows
 
 
@@ -110,28 +132,30 @@ def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[i
     stay below n(p - 1)^2 + p; ValueError if that bound exceeds 63 bits.
     """
     n = len(rows)
-    if (n * (p - 1) ** 2 + p).bit_length() > 63:
-        raise ValueError("packed F_p rows would need slots beyond 63 bits")
-    a = [_pack([(c - (i == j)) % p for j, c in enumerate(col)]) for i, col in enumerate(zip(*rows))]
+    code = _slot(n * (p - 1) ** 2 + p)
+    w = 8 * struct.calcsize(code)
+    mask = (1 << w) - 1
+    a = [_pack([(c - (i == j)) % p for j, c in enumerate(col)], code)
+         for i, col in enumerate(zip(*rows))]
     pivots: dict[int, int] = {}
     for col in range(n):
         row = len(pivots)
         for sel in range(row, n):
-            if lead := (a[sel] >> 64 * col & _MASK) % p:
+            if lead := (a[sel] >> w * col & mask) % p:
                 break
         else:
             continue
         inv = pow(lead, -1, p)
         a[row], a[sel] = a[sel], a[row]
-        a[row] = prow = _pack([v * inv % p for v in _unpack(a[row], n)])
+        a[row] = prow = _pack([v * inv % p for v in _unpack(a[row], n, code)], code)
         for r in range(n):
-            if r != row and (factor := (a[r] >> 64 * col & _MASK) % p):
+            if r != row and (factor := (a[r] >> w * col & mask) % p):
                 a[r] += (p - factor) * prow
         pivots[col] = row
     free = [col for col in range(n) if col not in pivots]
     basis = [[int(j == col) for j in range(n)] for col in free]
     for pcol, prow in pivots.items():
-        vals = _unpack(a[prow], n)
+        vals = _unpack(a[prow], n, code)
         for v, col in zip(basis, free):
             v[pcol] = -vals[col] % p
     return basis
@@ -234,13 +258,15 @@ def _hensel_lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[li
 # -- Zassenhaus --------------------------------------------------------------
 
 
-def _mignotte_bound(f: list[int]) -> int:
-    n = len(f) - 1
-    a = max(abs(c) for c in f)
-    s = isqrt(n + 1)
-    if s * s < n + 1:
-        s += 1
-    return s * (1 << n) * a * abs(f[-1])
+def _recombination_bound(f: list[int]) -> int:
+    """B = C(k, k // 2) * (isqrt(sum a_i^2) + 1) with k = deg f // 2.
+
+    For a split rest = g * h in Z[x] of a divisor of f with deg g <= deg f / 2,
+    |lc(h) * g_j| <= C(deg g, j) |lc h| M(g) <= C(deg g, j) M(rest) <= B, by
+    Mignotte's inequality, M(h) >= |lc h| and Landau's M(f) <= ||f||_2.
+    """
+    k = (len(f) - 1) // 2
+    return comb(k, k // 2) * (isqrt(sum(c * c for c in f)) + 1)
 
 
 def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
@@ -270,22 +296,33 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
 def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree integer polynomial, lc > 0.
 
-    A subset S of the lifted factors F_i is skipped unless
-    q = sym(b * prod_S F_i(0) mod p^l) divides b * rest(0), b = lc(rest): for a
-    true factor g with cofactor h, b * prod_S F_i = lc(h) * g mod p^l, so
-    q = lc(h) * g(0) and b * rest(0) = q * lc(g) * h(0).
+    The factors F_i of f mod p are lifted to monic F_i mod p^l > 2B, B the
+    `_recombination_bound`.  With rest = lc(rest) * prod F_i over the indices
+    left and b = lc(rest), a true factor g of rest with cofactor h and lifted
+    factors X satisfies b * prod_X F_i = lc(h) * g mod p^l, whose coefficients
+    are at most B when deg g <= deg(rest) / 2.  So subsets S of up to half the
+    indices are enumerated by size, and each tests the side X of degree at
+    most deg(rest) / 2: S itself, or its complement when deg S > deg(rest) / 2.
+    X is skipped when |sym(b * sum_X F_i[deg F_i - 1] mod p^l)| > B, the
+    next-to-leading coefficient of lc(h) * g, or when q = sym(b * prod_X F_i(0)
+    mod p^l) does not divide b * rest(0), since q = lc(h) * g(0) and
+    b * rest(0) = q * lc(g) * h(0).  Otherwise X's candidate is tried by exact
+    division.  When it divides, the side of S goes to the factors: every
+    smaller subset failed, so it is irreducible.  The other side becomes rest
+    and the indices drop S.
     """
     selected = _select_prime(f)
     if selected is None:
         return [list(f)]
     p, modular = selected
-    bound = _mignotte_bound(f)
+    bound = _recombination_bound(f)
     l = 1
     pl = p
     while pl <= 2 * bound:
         pl *= p
         l += 1
     lifted = _hensel_lift(p, f, modular, l)
+    degrees = [len(u) - 1 for u in lifted]
 
     factors: list[list[int]] = []
     rest = list(f)
@@ -296,20 +333,26 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         b = rest[-1]
         btc = b * rest[0]
         for subset in combinations(indices, s):
+            complement = 2 * sum(degrees[i] for i in subset) > len(rest) - 1
+            side = [i for i in indices if i not in subset] if complement else subset
+            t = b * sum(lifted[i][-2] for i in side) % pl
+            if min(t, pl - t) > bound:
+                continue
             q = b
-            for i in subset:
+            for i in side:
                 q = q * lifted[i][0] % pl
             q = q - pl if q > pl // 2 else q
             if q and btc % q:
                 continue
             cand = [b]
-            for i in subset:
+            for i in side:
                 cand = _convolve(cand, lifted[i])
             cand = _zz_primitive(_trunc_sym(cand, pl))
             divided = _zz_divmod(rest, cand)
             if divided is not None and not divided[1]:
-                factors.append(cand)
-                rest = _zz_primitive(divided[0])
+                other = _zz_primitive(divided[0])
+                factors.append(other if complement else cand)
+                rest = cand if complement else other
                 indices = [i for i in indices if i not in subset]
                 found = True
                 break

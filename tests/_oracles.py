@@ -20,6 +20,12 @@ Kronecker-substitution product and the packed long division in `polynomials`
 replaced above their size cutoffs, run at every size, and
 `trial_extract_square` splits off squares by trial division up to sqrt(n),
 as `numberfield._extract_square` did before it stopped at the cube root.
+`full_bound_factor_squarefree` is the Zassenhaus recombination that lifted
+to `mignotte_bound`, s * 2^n * max|a| * |lc f|, and rebuilt subsets of up
+to half the modular factors whatever their degree, with only the
+trailing-coefficient prune; `factorq` now lifts to a half-degree bound,
+rebuilds the side of degree at most deg(rest) / 2 and gates it on its
+next-to-leading coefficient.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 import mpmath
@@ -39,9 +45,11 @@ from dynatomic.errors import (
     ParentMismatchError,
     PolynomialZeroDivisionError,
 )
-from dynatomic.factorq import _gf_pow_mod
+from dynatomic.factorq import _gf_pow_mod, _hensel_lift, _select_prime
 from dynatomic.numberfield import AlgElement, minimal_polynomial
-from dynatomic.polynomials import Poly, _gf_divmod, _gf_mul
+from dynatomic.polynomials import (
+    Poly, _convolve, _gf_divmod, _gf_mul, _trunc_sym, _zz_divmod, _zz_primitive,
+)
 from dynatomic.rationals import smallest_prime_factor
 
 # 70 decimal digits ~ 230 bits
@@ -333,3 +341,66 @@ def trial_extract_square(n: int) -> tuple[int, int]:
         else:
             s *= p
     return t, sign * s
+
+
+def mignotte_bound(f: list[int]) -> int:
+    """s * 2^n * max|a| * |lc f| with s = ceil(sqrt(n + 1)), n = deg f."""
+    n = len(f) - 1
+    a = max(abs(c) for c in f)
+    s = isqrt(n + 1)
+    if s * s < n + 1:
+        s += 1
+    return s * (1 << n) * a * abs(f[-1])
+
+
+def full_bound_factor_squarefree(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a primitive squarefree integer polynomial, lc > 0.
+
+    Lifts to p^l > 2 * `mignotte_bound`(f) and tries every subset S of up to
+    half the lifted factors by size, rebuilding b * prod_S F_i whatever its
+    degree; S is skipped unless sym(b * prod_S F_i(0) mod p^l) divides
+    b * rest(0), b = lc(rest).
+    """
+    selected = _select_prime(f)
+    if selected is None:
+        return [list(f)]
+    p, modular = selected
+    bound = mignotte_bound(f)
+    l = 1
+    pl = p
+    while pl <= 2 * bound:
+        pl *= p
+        l += 1
+    lifted = _hensel_lift(p, f, modular, l)
+
+    factors: list[list[int]] = []
+    rest = list(f)
+    indices = list(range(len(lifted)))
+    s = 1
+    while 2 * s <= len(indices):
+        found = False
+        b = rest[-1]
+        btc = b * rest[0]
+        for subset in combinations(indices, s):
+            q = b
+            for i in subset:
+                q = q * lifted[i][0] % pl
+            q = q - pl if q > pl // 2 else q
+            if q and btc % q:
+                continue
+            cand = [b]
+            for i in subset:
+                cand = _convolve(cand, lifted[i])
+            cand = _zz_primitive(_trunc_sym(cand, pl))
+            divided = _zz_divmod(rest, cand)
+            if divided is not None and not divided[1]:
+                factors.append(cand)
+                rest = _zz_primitive(divided[0])
+                indices = [i for i in indices if i not in subset]
+                found = True
+                break
+        if not found:
+            s += 1
+    if len(rest) - 1 >= 1:
+        factors.append(rest)
+    return factors

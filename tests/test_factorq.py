@@ -1,19 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynatomic.factorq import (
-    Factorization, _frobenius_rows, _gf_pow_mod, _nullspace_dimension_and_basis, _select_prime,
-    factor_over_q, is_irreducible, rational_roots,
+    Factorization, _frobenius_rows, _gf_pow_mod, _nullspace_dimension_and_basis,
+    _recombination_bound, _select_prime, _slot, _zz_factor_squarefree, factor_over_q,
+    is_irreducible, rational_roots,
 )
 from dynatomic.maps import MapSpec, dynatomic_poly
-from dynatomic.polynomials import Poly
+from dynatomic.polynomials import Poly, _convolve, _zz_divmod
 from _oracles import (
-    brute_force_irreducible, clustering_factor_candidates, list_frobenius_rows,
-    list_nullspace_basis, naive_gcd,
+    brute_force_irreducible, clustering_factor_candidates, full_bound_factor_squarefree,
+    list_frobenius_rows, list_nullspace_basis, naive_gcd,
 )
 
 Z = Poly.identity()
@@ -159,6 +161,117 @@ class TestFactorProperties:
         fac = factor_over_q(f)
         assert fac.expand() == f
         assert [p.degree() for p, _ in fac.factors] == [1, 1, 2, 4]
+
+
+def _squarefree_parts(f):
+    return [[c.numerator for c in part.coeffs] for part, _ in f.squarefree_decomposition()]
+
+
+# irreducible over Q and split mod every prime (minimal polynomials of
+# sqrt(2) + sqrt(3) and sqrt(2) + sqrt(7)), so recombination has work to do
+SPLIT_QUARTICS = ([1, 0, -10, 0, 1], [25, 0, -18, 0, 1])
+
+
+def _random_factor(draw, degree):
+    lead = draw(st.integers(1, 2**64))
+    return [draw(st.integers(-9, 9)) for _ in range(degree)] + [lead]
+
+
+@st.composite
+def _products(draw):
+    """z^e times factors with leading coefficients up to 2^64, several of one degree."""
+    degree = draw(st.integers(1, 3))
+    parts = [_random_factor(draw, degree) for _ in range(draw(st.integers(1, 3)))]
+    parts += [_random_factor(draw, draw(st.integers(1, 4))) for _ in range(draw(st.integers(0, 2)))]
+    for a in draw(st.lists(st.integers(1, 3), max_size=2)):  # a^4 z^4 - 10 a^2 z^2 + 1
+        parts.append([1, 0, -10 * a * a, 0, a**4])
+    f = [0] * draw(st.integers(0, 2)) + [1]
+    for part in parts:
+        f = _convolve(f, part)
+    return Poly(f)
+
+
+class TestRecombination:
+    """Zassenhaus on the half-degree bound, the complement rule and the d-1 gate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_products())
+    def test_factor_lists_match_the_full_bound_oracle(self, f):
+        for part in _squarefree_parts(f):
+            got = sorted(_zz_factor_squarefree(part))
+            assert got == sorted(full_bound_factor_squarefree(part))
+            product = [1]
+            for g in got:
+                product = _convolve(product, g)
+            assert product == part
+
+    def test_gated_products_with_leading_coefficients(self):
+        # z times dense factors of degree 3 to 5 with lc != 1, which split mod p
+        # into factors of degree >= 3: a gate that drops b or reads another
+        # coefficient than F_i[deg F_i - 1] rejects a true factor here
+        rng = random.Random(31)
+        for _ in range(30):
+            f = [0, 1]
+            for _ in range(rng.randint(2, 3)):
+                degree = rng.randint(3, 5)
+                f = _convolve(f, [rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(2, 2**64)])
+            for part in _squarefree_parts(Poly(f)):
+                assert sorted(_zz_factor_squarefree(part)) == sorted(full_bound_factor_squarefree(part))
+
+    def test_gate_rejects_before_trial_division(self, monkeypatch):
+        # Phi_6(z, 0) is a product of cyclotomic polynomials, so rest(0) = 1 and
+        # the trailing-coefficient prune passes every subset; only the gate can
+        # spare trial divisions that the ungated loop makes
+        import dynatomic.factorq as factorq
+        import _oracles
+
+        (part,) = _squarefree_parts(dynatomic_poly(MapSpec(2, Fraction(0)), 6))
+        tried = {}
+        for module, run in ((factorq, _zz_factor_squarefree), (_oracles, full_bound_factor_squarefree)):
+            calls = []
+            monkeypatch.setattr(module, "_zz_divmod", lambda f, g: calls.append(g) or _zz_divmod(f, g))
+            tried[module] = (sorted(run(part)), len(calls))
+        assert tried[factorq][0] == tried[_oracles][0]
+        assert tried[factorq][1] < tried[_oracles][1]
+
+    def test_bound_covers_every_half_degree_split(self):
+        rng = random.Random(23)
+        polys = [Z**30 - 1, Z**24 - 1, (Z**2 - 4) * (Z**2 - 9) * (Z**2 - 1) * Z * (Z**2 - 2)]
+        for _ in range(20):
+            f = Poly.one()
+            for _ in range(rng.randint(2, 5)):
+                f = f * Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 99)])
+            polys.append(f)
+        for f in polys:
+            (part, _), *more = f.squarefree_decomposition()
+            if more:
+                continue
+            ints = [c.numerator for c in part.coeffs]
+            bound = _recombination_bound(ints)
+            irreducibles = [[c.numerator for c in g.coeffs] for g, _ in factor_over_q(part).factors]
+            n = len(ints) - 1
+            for size in range(1, len(irreducibles)):
+                for subset in combinations(irreducibles, size):
+                    g = [1]
+                    for u in subset:
+                        g = _convolve(g, u)
+                    if 2 * (len(g) - 1) > n:
+                        continue
+                    h, r = _zz_divmod(ints, g)
+                    assert not r
+                    assert max(abs(h[-1] * c) for c in g) <= bound
+
+    def test_complement_side_rebuilt_when_the_minimal_subset_is_large(self):
+        # g is irreducible mod 11, where each quartic splits into two quadratics:
+        # the first true subset is g's one factor of degree 9 > 17 / 2, so the
+        # quartics' side is rebuilt, g is kept and their product stays as rest
+        g = [-2, 2, 2, 3, -2, 0, -2, 5, -2, 3]
+        f = _convolve(_convolve(g, SPLIT_QUARTICS[0]), SPLIT_QUARTICS[1])
+        p, modular = _select_prime(f)
+        assert (p, sorted(len(u) - 1 for u in modular)) == (11, [2, 2, 2, 2, 9])
+        expected = sorted([g, *SPLIT_QUARTICS])
+        assert sorted(_zz_factor_squarefree(f)) == expected
+        assert sorted(full_bound_factor_squarefree(f)) == expected
 
 
 class TestRationalRoots:
@@ -310,6 +423,18 @@ PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 65521]
 # the largest prime below 2^29: n(p-1)^2 + p stays under 2^63 up to n = 32 and
 # (2n-1)(p-1)^2 up to n = 16, so these sizes put slots next to the bound
 P29 = 536870909
+# (slot bits, struct code, p): a prime whose slot bounds leave `bits` bits at
+# a moderate n; the 64-bit slot's edge is the P29 bound and the refusal
+SLOT_EDGES = [(8, "B", 3), (16, "H", 37), (32, "I", 8191)]
+NEXT_SLOT = {"B": "H", "H": "I", "I": "Q"}
+
+
+def _last_n(bound, bits):
+    """Largest n whose slot bound still fits in `bits` bits."""
+    n = 1
+    while bound(n + 1).bit_length() <= bits:
+        n += 1
+    return n
 
 
 def _matrix(kind, n, p, rng):
@@ -386,6 +511,25 @@ class TestPackedBerlekamp:
         rng = random.Random(5)
         for f in ([P29 - 1] * 16 + [1], [rng.randrange(P29) for _ in range(16)] + [1]):
             assert _frobenius_rows(f, P29) == list_frobenius_rows(f, P29)
+
+    @pytest.mark.parametrize("bits, code, p", SLOT_EDGES)
+    @pytest.mark.parametrize("kind", ["random", "all-max", "identity-plus-low-rank"])
+    def test_nullspace_on_both_sides_of_a_slot_width(self, bits, code, p, kind):
+        n = _last_n(lambda n: n * (p - 1) ** 2 + p, bits)
+        rng = random.Random(n)
+        for size, want in ((n, code), (n + 1, NEXT_SLOT[code])):
+            assert _slot(size * (p - 1) ** 2 + p) == want
+            rows = _matrix(kind, size, p, rng)
+            assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
+
+    @pytest.mark.parametrize("bits, code, p", SLOT_EDGES)
+    def test_frobenius_rows_on_both_sides_of_a_slot_width(self, bits, code, p):
+        n = _last_n(lambda n: (2 * n - 1) * (p - 1) ** 2, bits)
+        rng = random.Random(n)
+        for size, want in ((n, code), (n + 1, NEXT_SLOT[code])):
+            assert _slot((2 * size - 1) * (p - 1) ** 2) == want
+            for f in ([p - 1] * size + [1], [rng.randrange(p) for _ in range(size)] + [1]):
+                assert _frobenius_rows(f, p) == list_frobenius_rows(f, p)
 
     @pytest.mark.parametrize("n, p", [(3, 2**31 - 1), (33, P29)])
     def test_nullspace_refuses_slots_beyond_63_bits(self, n, p):
