@@ -26,15 +26,15 @@ skips the Bezout update, since both halves restart from a pair mod p.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
 
 from .polynomials import (
-    Poly, _convolve, _gf_divmod, _gf_gcd, _gf_monic, _gf_mul, _gf_trunc, _trunc_sym,
-    _zz_add, _zz_derivative, _zz_divmod, _zz_normalize, _zz_primitive, _zz_sub,
+    Poly, _convolve, _gf_divmod, _gf_gcd, _gf_monic, _gf_mul, _gf_trunc, _slot_bytes,
+    _slot_pack, _slot_unpack, _trunc_sym, _zz_add, _zz_derivative, _zz_divmod,
+    _zz_normalize, _zz_primitive, _zz_sub,
 )
 from .rationals import primes
 
@@ -77,50 +77,30 @@ def _gf_is_squarefree(f: list[int], p: int) -> bool:
 
 
 # -- deterministic Berlekamp on packed rows ---------------------------------
-# Entry i of a row over F_p sits in slot i of one int, so a row operation is
-# one big-integer multiply-add, exact while no slot carries.  Each kernel
-# takes the narrowest struct slot (8, 16, 32 or 64 bits) that holds the slot
-# bound its docstring states; a 64-bit slot keeps its top bit clear.
-
-_SLOTS = ((8, "B"), (16, "H"), (32, "I"), (63, "Q"))
-
-
-def _slot(bound: int) -> str:
-    """struct code of the narrowest slot holding every value up to bound."""
-    for bits, code in _SLOTS:
-        if bound.bit_length() <= bits:
-            return code
-    raise ValueError("packed F_p rows would need slots beyond 63 bits")
-
-
-def _pack(vals: list[int], code: str) -> int:
-    return int.from_bytes(struct.pack(f"<{len(vals)}{code}", *vals), "little")
-
-
-def _unpack(x: int, n: int, code: str) -> tuple[int, ...]:
-    return struct.unpack(f"<{n}{code}", x.to_bytes(struct.calcsize(code) * n, "little"))
+# A row over F_p is one int in the `polynomials` slot format, so a row
+# operation is one big-integer multiply-add; slots are sized by each bound.
 
 
 def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
     """Rows are coefficient vectors of z^(p*i) mod monic f, i = 0..deg f - 1.
 
     Row i is the packed product of row i-1 and z^p mod f with slots 2n-2 down
-    to n cleared by adding (slot k mod p) * (p - f) at slot k - n.  Slots stay
-    below (2n - 1)(p - 1)^2 + 1; ValueError if that bound exceeds 63 bits.
+    to n cleared by adding (slot k mod p) * (p - f) at slot k - n.  Slots never
+    exceed (2n - 1)(p - 1)^2.
     """
     n = len(f) - 1
-    code = _slot((2 * n - 1) * (p - 1) ** 2)
-    w = 8 * struct.calcsize(code)
+    nb = _slot_bytes((2 * n - 1) * (p - 1) ** 2)
+    w = 8 * nb
     mask = (1 << w) - 1
-    zp = _pack(_gf_pow_mod([0, 1], p, f, p), code)
-    fneg = _pack([(p - c) % p for c in f], code)
+    zp = _slot_pack(_gf_pow_mod([0, 1], p, f, p), nb)
+    fneg = _slot_pack([(p - c) % p for c in f], nb)
     rows = [[1] + [0] * (n - 1)]
     for _ in range(1, n):
-        x = _pack(rows[-1], code) * zp
+        x = _slot_pack(rows[-1], nb) * zp
         for k in range(2 * n - 2, n - 1, -1):
             if c := (x >> w * k & mask) % p:
                 x += c * fneg << w * (k - n)
-        rows.append([v % p for v in _unpack(x & ((1 << w * n) - 1), n, code)])
+        rows.append([v % p for v in _slot_unpack(x, n, nb)])
     return rows
 
 
@@ -129,13 +109,13 @@ def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[i
 
     Gauss-Jordan on the packed transpose of M - I.  A row operation adds
     (p - factor) * pivot row, and only pivot rows are reduced mod p, so slots
-    stay below n(p - 1)^2 + p; ValueError if that bound exceeds 63 bits.
+    never exceed n(p - 1)^2 + p.
     """
     n = len(rows)
-    code = _slot(n * (p - 1) ** 2 + p)
-    w = 8 * struct.calcsize(code)
+    nb = _slot_bytes(n * (p - 1) ** 2 + p)
+    w = 8 * nb
     mask = (1 << w) - 1
-    a = [_pack([(c - (i == j)) % p for j, c in enumerate(col)], code)
+    a = [_slot_pack([(c - (i == j)) % p for j, c in enumerate(col)], nb)
          for i, col in enumerate(zip(*rows))]
     pivots: dict[int, int] = {}
     for col in range(n):
@@ -147,7 +127,7 @@ def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[i
             continue
         inv = pow(lead, -1, p)
         a[row], a[sel] = a[sel], a[row]
-        a[row] = prow = _pack([v * inv % p for v in _unpack(a[row], n, code)], code)
+        a[row] = prow = _slot_pack([v * inv % p for v in _slot_unpack(a[row], n, nb)], nb)
         for r in range(n):
             if r != row and (factor := (a[r] >> w * col & mask) % p):
                 a[r] += (p - factor) * prow
@@ -155,7 +135,7 @@ def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[i
     free = [col for col in range(n) if col not in pivots]
     basis = [[int(j == col) for j in range(n)] for col in free]
     for pcol, prow in pivots.items():
-        vals = _unpack(a[prow], n, code)
+        vals = _slot_unpack(a[prow], n, nb)
         for v, col in zip(basis, free):
             v[pcol] = -vals[col] % p
     return basis

@@ -147,6 +147,9 @@ class AlgElement:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational element equals the Fraction it holds, so it must hash like it too
+        if self.is_rational():
+            return hash(self.as_rational())
         return hash((self._nums, self._den))
 
     def __repr__(self) -> str:

@@ -15,6 +15,7 @@ Everything is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
@@ -54,10 +55,11 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     Operands with fewer than 8 coefficients go through the schoolbook loop.
     Otherwise the gcd g of the nonzero exponents of both operands is divided
     out first (a[::g] times b[::g], scattered back), and the rest is one
-    Kronecker-substitution product: coefficient i goes to byte-aligned slot i
-    of w >= bitlen(max|a|) + bitlen(max|b|) + bitlen(min(len a, len b)) + 1
-    bits, so every product coefficient c has |c| < 2^(w-1) and comes back
-    from its own slot once the bias 2^(w-1) is added to each.
+    Kronecker-substitution product over the slots of `_slot_pack`.  Every
+    product coefficient c has |c| < 2^(w-1) for w = bitlen(max|a|) +
+    bitlen(max|b|) + bitlen(min(len a, len b)) + 1, so with slots of
+    `_slot_bytes(2^w - 1)` bytes and the bias 2^(8*nb - 1) added to each, c
+    comes back from its own slot.
     """
     if not a or not b:
         return []
@@ -77,7 +79,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         out[: g * (len(part) - 1) + 1 : g] = part
         return out
     bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-    nb = (bits + min(len(a), len(b)).bit_length() + 8) // 8  # w = 8*nb bits
+    nb = _slot_bytes((1 << bits + min(len(a), len(b)).bit_length() + 1) - 1)  # 2^w - 1
     half = 1 << (8 * nb - 1)
     x = _slot_pack([c + half for c in a], nb) - _ks_bias(len(a), nb)
     y = x if b is a else _slot_pack([c + half for c in b], nb) - _ks_bias(len(b), nb)
@@ -94,21 +96,38 @@ def _exponent_gcd(a: Sequence[int], g: int) -> int:
     return g
 
 
-def _ks_bias(n: int, nb: int) -> int:
-    """2^(8*nb - 1) in each of n slots of nb bytes."""
-    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+# -- packed slots: the one format of every big-integer kernel, here and in
+# `factorq`.  Entry i of a list sits in slot i of one int, nb bytes per slot;
+# each kernel states the largest value a slot reaches, `_slot_bytes` sizes it.
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(bound: int) -> int:
+    """Fewest bytes holding every value in [0, bound]; 1, 2, 4 or 8 when 8 or fewer do."""
+    nb = (bound.bit_length() + 7) // 8 or 1
+    return 1 << (nb - 1).bit_length() if nb <= 8 else nb
 
 
 def _slot_pack(vals: Sequence[int], nb: int) -> int:
     """sum vals_i * 2^(8*nb*i) for 0 <= vals_i < 2^(8*nb)."""
+    if code := _STRUCT_CODES.get(nb):
+        return int.from_bytes(struct.pack(f"<{len(vals)}{code}", *vals), "little")
     return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in vals]), "little")
 
 
-def _slot_unpack(x: int, n: int, nb: int) -> list[int]:
+def _slot_unpack(x: int, n: int, nb: int) -> Sequence[int]:
     """The n lowest slots of nb bytes of x >= 0."""
     z = (x & ((1 << 8 * nb * n) - 1)).to_bytes(nb * n, "little")
+    if code := _STRUCT_CODES.get(nb):
+        return struct.unpack(f"<{n}{code}", z)
     from_bytes = int.from_bytes
     return [from_bytes(z[i : i + nb], "little") for i in range(0, nb * n, nb)]
+
+
+def _ks_bias(n: int, nb: int) -> int:
+    """2^(8*nb - 1) in each of n slots of nb bytes."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
 
 def _power(base, n: int, one):
@@ -500,11 +519,11 @@ def _gf_divmod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[list[int], l
     A quotient of k < 8 coefficients comes from a lazy loop that reduces the
     remainder once, at the end (|entries| stay below k*p^2).  Longer ones run
     on one int holding the deg g + 1 coefficients of the running remainder
-    that the next quotient term touches, in byte-aligned slots: that term
-    adds q*(-g_i mod p) to slot i and clears the top slot mod p, which then
-    drops out as the next coefficient of f comes in at the bottom.  A slot
-    holds a residue plus at most k such terms, so it stays below
-    k(p-1)^2 + p and never carries into the next.
+    that the next quotient term touches, in the slots of `_slot_pack`: that
+    term adds q*(-g_i mod p) to slot i and clears the top slot mod p, which
+    then drops out as the next coefficient of f comes in at the bottom.  A
+    slot holds a residue plus at most k such terms, so it stays below the
+    bound k(p-1)^2 + p and never carries into the next.
     """
     if not g:
         raise ZeroDivisionError("gf division by zero")
@@ -522,7 +541,7 @@ def _gf_divmod(f: Sequence[int], g: Sequence[int], p: int) -> tuple[list[int], l
                 for j in range(dg):
                     rem[i + j] -= q * g[j]
         return _zz_normalize(quot), _gf_trunc(rem[:dg], p)
-    nb = ((k * (p - 1) ** 2 + p).bit_length() + 7) // 8
+    nb = _slot_bytes(k * (p - 1) ** 2 + p)
     w, low = 8 * nb, (1 << 8 * nb * dg) - 1
     rem = [c % p for c in f]
     neg_g = _slot_pack([-c % p for c in g], nb)
@@ -544,7 +563,7 @@ def _gf_monic(f: Sequence[int], p: int) -> list[int]:
 
 
 def _gf_gcd(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    """Monic gcd in F_p[x]; the one Euclidean remainder loop of the package."""
+    """Monic gcd in F_p[x]."""
     a, b = _gf_trunc(f, p), _gf_trunc(g, p)
     while b:
         a, b = b, _gf_divmod(a, b, p)[1]

@@ -164,6 +164,13 @@ class PropertyAReport:
     aggregate: str
     interpretation: str
 
+    @property
+    def quadratic_records(self) -> tuple[CycleRecord, ...]:
+        """Records of exact period N whose points lie in a quadratic field."""
+        return tuple(
+            rec for rec in self.records if rec.field_degree == 2 and rec.exact_period == self.n
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "d": self.spec.d,

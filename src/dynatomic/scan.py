@@ -79,11 +79,6 @@ def scan_one(
     started = time.perf_counter()
     report = check_aggregate(MapSpec(d, c), n, include_rational=include_rational)
     elapsed = int(round((time.perf_counter() - started) * 1000)) if timing else None
-    quadratic = sum(
-        1
-        for rec in report.records
-        if rec.field_degree == 2 and rec.exact_period == n
-    )
     return ScanRecord(
         d=d,
         n=n,
@@ -93,7 +88,7 @@ def scan_one(
         factor_degrees=report.factor_degrees,
         aggregate=report.aggregate,
         rational_point_count=len(report.rational_points),
-        quadratic_cycle_count=quadratic,
+        quadratic_cycle_count=len(report.quadratic_records),
         degenerate_count=len(report.degenerate),
         runtime_ms=elapsed,
     )

@@ -210,12 +210,7 @@ def item_period_five_probe(ctx: CorpusContext) -> ItemResult:
         if report.aggregate != HOLDS:
             continue
         held += 1
-        quadratic = [
-            rec
-            for rec in report.records
-            if rec.field_degree == 2 and rec.exact_period == 5
-        ]
-        if quadratic:
+        if quadratic := report.quadratic_records:
             bad.append(f"c={format_rational(c)}: {len(quadratic)} quadratic 5-cycles")
     details = [f"{held} of {len(sweep)} parameters hold; quadratic 5-cycles found: "
                f"{bad if bad else 'none'}"]
@@ -266,15 +261,14 @@ def item_cross_consistency(ctx: CorpusContext) -> ItemResult:
     irreducible_cases = 0
     for n in (2, 4, 6):
         for c, report in ctx.sweep(2, n, 10):
-            for rec in report.records:
-                if rec.field_degree == 2 and rec.exact_period == n:
-                    total_quadratic += 1
-                    try:
-                        agree = check_point(rec).holds == check_quadratic_cycle(rec)
-                    except ConsistencyError:
-                        agree = False
-                    if not agree:
-                        bad.append(f"disagreement at c={format_rational(c)}, N={n}")
+            for rec in report.quadratic_records:
+                total_quadratic += 1
+                try:
+                    agree = check_point(rec).holds == check_quadratic_cycle(rec)
+                except ConsistencyError:
+                    agree = False
+                if not agree:
+                    bad.append(f"disagreement at c={format_rational(c)}, N={n}")
             if report.factor_degrees == (report.phi_degree,):
                 irreducible_cases += 1
                 if report.aggregate != HOLDS:
@@ -296,8 +290,8 @@ def item_trace_rationality(ctx: CorpusContext) -> ItemResult:
     held = 0
     for n in (2, 4, 6):
         for c, report in ctx.sweep(2, n, 10):
-            for rec in report.records:
-                if rec.field_degree == 2 and rec.exact_period == n and check_point(rec).holds:
+            for rec in report.quadratic_records:
+                if check_point(rec).holds:
                     held += 1
                     if not trace_test(rec):
                         bad.append(f"irrational trace at c={format_rational(c)}, N={n}")

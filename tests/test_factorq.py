@@ -6,13 +6,14 @@ from math import ceil, log2
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynatomic import factorq
 from dynatomic.factorq import (
     Factorization, _frobenius_rows, _gf_pow_mod, _nullspace_dimension_and_basis,
-    _recombination_bound, _select_prime, _slot, _zz_factor_squarefree, factor_over_q,
+    _recombination_bound, _select_prime, _zz_factor_squarefree, factor_over_q,
     is_irreducible, rational_roots,
 )
 from dynatomic.maps import MapSpec, dynatomic_poly
-from dynatomic.polynomials import Poly, _convolve, _zz_divmod
+from dynatomic.polynomials import _STRUCT_CODES, Poly, _convolve, _slot_bytes, _zz_divmod
 from _oracles import (
     brute_force_irreducible, clustering_factor_candidates, full_bound_factor_squarefree,
     list_frobenius_rows, list_nullspace_basis, naive_gcd,
@@ -420,11 +421,12 @@ class TestHenselStep:
 
 
 PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 65521]
-# the largest prime below 2^29: n(p-1)^2 + p stays under 2^63 up to n = 32 and
-# (2n-1)(p-1)^2 up to n = 16, so these sizes put slots next to the bound
+# the largest prime below 2^29: n(p-1)^2 + p fits in 64 bits up to n = 64 and
+# (2n-1)(p-1)^2 up to n = 32, so these sizes and one more put slots on both
+# sides of the 8-byte edge, where the packer leaves struct for to_bytes
 P29 = 536870909
-# (slot bits, struct code, p): a prime whose slot bounds leave `bits` bits at
-# a moderate n; the 64-bit slot's edge is the P29 bound and the refusal
+# (slot bits, the struct code `_slot_pack` writes at that width, p): a prime
+# whose slot bounds leave `bits` bits at a moderate n
 SLOT_EDGES = [(8, "B", 3), (16, "H", 37), (32, "I", 8191)]
 NEXT_SLOT = {"B": "H", "H": "I", "I": "Q"}
 
@@ -484,8 +486,13 @@ class TestPackedBerlekamp:
 
     @pytest.mark.parametrize("kind", ["random", "all-max", "identity-plus-low-rank"])
     def test_nullspace_next_to_the_slot_bound(self, kind):
-        rows = _matrix(kind, 32, P29, random.Random(11))
-        assert _nullspace_dimension_and_basis(rows, P29) == list_nullspace_basis(rows, P29)
+        bound = lambda n: n * (P29 - 1) ** 2 + P29
+        n = _last_n(bound, 64)
+        rng = random.Random(11)
+        for size, nb in ((n, 8), (n + 1, 9)):
+            assert _slot_bytes(bound(size)) == nb
+            rows = _matrix(kind, size, P29, rng)
+            assert _nullspace_dimension_and_basis(rows, P29) == list_nullspace_basis(rows, P29)
 
     def test_basis_is_in_the_left_kernel(self):
         rng = random.Random(3)
@@ -508,9 +515,13 @@ class TestPackedBerlekamp:
             assert rows[i] == power + [0] * (n - len(power))
 
     def test_frobenius_rows_next_to_the_slot_bound(self):
+        bound = lambda n: (2 * n - 1) * (P29 - 1) ** 2
+        n = _last_n(bound, 64)
         rng = random.Random(5)
-        for f in ([P29 - 1] * 16 + [1], [rng.randrange(P29) for _ in range(16)] + [1]):
-            assert _frobenius_rows(f, P29) == list_frobenius_rows(f, P29)
+        for size, nb in ((n, 8), (n + 1, 9)):
+            assert _slot_bytes(bound(size)) == nb
+            for f in ([P29 - 1] * size + [1], [rng.randrange(P29) for _ in range(size)] + [1]):
+                assert _frobenius_rows(f, P29) == list_frobenius_rows(f, P29)
 
     @pytest.mark.parametrize("bits, code, p", SLOT_EDGES)
     @pytest.mark.parametrize("kind", ["random", "all-max", "identity-plus-low-rank"])
@@ -518,7 +529,7 @@ class TestPackedBerlekamp:
         n = _last_n(lambda n: n * (p - 1) ** 2 + p, bits)
         rng = random.Random(n)
         for size, want in ((n, code), (n + 1, NEXT_SLOT[code])):
-            assert _slot(size * (p - 1) ** 2 + p) == want
+            assert _STRUCT_CODES[_slot_bytes(size * (p - 1) ** 2 + p)] == want
             rows = _matrix(kind, size, p, rng)
             assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
 
@@ -527,19 +538,39 @@ class TestPackedBerlekamp:
         n = _last_n(lambda n: (2 * n - 1) * (p - 1) ** 2, bits)
         rng = random.Random(n)
         for size, want in ((n, code), (n + 1, NEXT_SLOT[code])):
-            assert _slot((2 * size - 1) * (p - 1) ** 2) == want
+            assert _STRUCT_CODES[_slot_bytes((2 * size - 1) * (p - 1) ** 2)] == want
             for f in ([p - 1] * size + [1], [rng.randrange(p) for _ in range(size)] + [1]):
                 assert _frobenius_rows(f, p) == list_frobenius_rows(f, p)
 
     @pytest.mark.parametrize("n, p", [(3, 2**31 - 1), (33, P29)])
-    def test_nullspace_refuses_slots_beyond_63_bits(self, n, p):
-        with pytest.raises(ValueError, match="63 bits"):
-            _nullspace_dimension_and_basis([[1] * n for _ in range(n)], p)
+    def test_nullspace_with_bounds_past_63_bits(self, n, p):
+        assert (n * (p - 1) ** 2 + p).bit_length() > 63
+        rng = random.Random(n)
+        for rows in ([[1] * n for _ in range(n)], _matrix("all-max", n, p, rng),
+                     _matrix("random", n, p, rng)):
+            assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
 
     @pytest.mark.parametrize("n, p", [(3, 2**31 - 1), (17, P29)])
-    def test_frobenius_rows_refuse_slots_beyond_63_bits(self, n, p):
-        with pytest.raises(ValueError, match="63 bits"):
-            _frobenius_rows([1] + [0] * (n - 1) + [1], p)
+    def test_frobenius_rows_with_bounds_past_63_bits(self, n, p):
+        assert ((2 * n - 1) * (p - 1) ** 2).bit_length() > 63
+        rng = random.Random(n)
+        for f in ([1] + [0] * (n - 1) + [1], [p - 1] * n + [1],
+                  [rng.randrange(p) for _ in range(n)] + [1]):
+            assert _frobenius_rows(f, p) == list_frobenius_rows(f, p)
+
+    def test_each_kernel_asks_for_its_stated_slot_bound(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(factorq, "_slot_bytes", lambda b: asked.append(b) or _slot_bytes(b))
+        rng = random.Random(7)
+        for p in (3, 8191, P29):
+            n = rng.randint(2, 20)
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            rows = _frobenius_rows(f, p)
+            assert asked == [(2 * n - 1) * (p - 1) ** 2]
+            asked.clear()
+            _nullspace_dimension_and_basis(rows, p)
+            assert asked == [n * (p - 1) ** 2 + p]
+            asked.clear()
 
 
 def _select_on_phi(c, n):

@@ -73,6 +73,14 @@ class TestAlgebraArithmetic:
         x = a.generator() + 1  # 1 + sqrt(2), inverse is sqrt(2) - 1
         assert x * (a.generator() - 1) == a.one()
 
+    def test_rational_elements_hash_like_the_rationals_they_equal(self):
+        a = QuotientAlgebra(Z**3 + Fraction(1, 2) * Z + Fraction(37, 48))
+        for q in (0, 3, -1, Fraction(-7, 12)):
+            assert a.element(q) == q
+            assert hash(a.element(q)) == hash(q)
+            assert a.element(q) in {q} and q in {a.element(q)}
+        assert a.element(Z) + 1 - a.element(Z) in {1}
+
     def test_scalar_mixing(self):
         a = QuotientAlgebra(Z**3 - 2)
         x = a.generator()

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -27,3 +28,23 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["layers"]["factorq.factor_over_q.calls"] == 1
+
+
+def test_only_polynomials_packs_slots():
+    # the packed-slot format has one owner; a second packer would need struct or
+    # int.to_bytes/from_bytes, so either outside polynomials.py fails here
+    found = []
+    for path in sorted((Path(dynatomic.__file__).parent).glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes"):
+                names = [node.attr]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("struct", "to_bytes", "from_bytes")]
+    assert found == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dynatomic import polynomials
 from dynatomic.errors import (
     DegreeGuardError,
     NonExactDivisionError,
@@ -20,6 +21,9 @@ from dynatomic.polynomials import (
     _convolve,
     _gf_divmod,
     _lift_common_denominator,
+    _slot_bytes,
+    _slot_pack,
+    _slot_unpack,
     _zz_add,
     _zz_derivative,
     _zz_divmod,
@@ -206,6 +210,48 @@ class TestIntegerKernel:
             for m in (2**k - 1, 2**k):
                 for a, b in (([m] * n, [m] * n), ([m] * n, [-m] * n), ([-m] * n, [m, -m] * n)):
                     assert _convolve(a, b) == schoolbook_convolve(a, b)
+
+    @pytest.mark.parametrize("bound, nb", [
+        (0, 1), (255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4), (2**24, 4), (2**32, 8),
+        (2**64 - 1, 8), (2**64, 9), (2**72 - 1, 9), (2**72, 10),
+    ])
+    def test_slot_bytes_rounds_up_to_struct_widths(self, bound, nb):
+        assert _slot_bytes(bound) == nb
+
+    @pytest.mark.parametrize("nb", range(1, 13))
+    def test_slot_pack_round_trip(self, nb):
+        # 1, 2, 4 and 8 bytes take the struct path, every other width to_bytes
+        top = (1 << 8 * nb) - 1
+        rng = random.Random(nb)
+        vals = [0, top, 1, top - 1, 0] + [rng.randrange(top + 1) for _ in range(11)]
+        x = _slot_pack(vals, nb)
+        assert x == sum(v << 8 * nb * i for i, v in enumerate(vals))
+        assert list(_slot_unpack(x, len(vals), nb)) == vals
+        assert list(_slot_unpack(x, 3, nb)) == vals[:3]  # higher slots are masked off
+
+    def test_each_kernel_asks_for_its_stated_slot_bound(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(polynomials, "_slot_bytes", lambda b: asked.append(b) or _slot_bytes(b))
+        rng = random.Random(5)
+        for p in (2, 13, 65521, 2**61 - 1, 3**40):
+            f = [rng.randrange(p) for _ in range(rng.randint(20, 40))]
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [1]
+            _gf_divmod(f, g, p)
+            k = len(f) - len(g) + 1
+            assert asked == [k * (p - 1) ** 2 + p]
+            asked.clear()
+        for bits in (1, 7, 8, 30, 100):
+            a = [rng.randrange(-(2**bits), 2**bits) for _ in range(rng.randint(8, 40))]
+            b = [rng.randrange(-(2**bits), 2**bits) for _ in range(rng.randint(8, 40))]
+            a[1] = b[1] = 1  # the exponent gcd is 1, so one Kronecker product runs
+            _convolve(a, b)
+            w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                 + min(len(a), len(b)).bit_length() + 1)
+            assert asked == [2**w - 1]
+            asked.clear()
+        _gf_divmod([1] * 8, [1] * 2, 13)  # a quotient of 7 terms runs the lazy loop
+        _convolve([1] * 7, [1] * 40)  # and a 7-term operand the schoolbook loop
+        assert asked == []
 
     def test_divmod_matches_rational_division(self):
         rng = random.Random(41)

@@ -309,6 +309,7 @@ class TestCheckAggregate:
         assert report.factor_degrees == (2, 2, 2, 48)
         quadratic = [v for v in report.verdicts if v.field_degree == 2]
         assert len(quadratic) == 1
+        assert [rec.field_degree for rec in report.quadratic_records] == [2]
         assert quadratic[0].orbit_field_degree == 1
 
     @pytest.mark.parametrize("c, n", [(Fraction(4, 1000000007), 2), (Fraction(-71, 48), 6)])
