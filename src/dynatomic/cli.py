@@ -190,7 +190,7 @@ def cmd_cycles(args) -> int:
     records = cycles_from_dynatomic(MapSpec(args.degree, args.c), args.period)
     if args.format == "jsonl":
         for rec in records:
-            print(rec.to_json())
+            print(json.dumps(rec.to_json_dict()))
         return 0
     for rec in records:
         flag = " (degenerate)" if rec.degenerate else ""

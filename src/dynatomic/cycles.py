@@ -10,7 +10,6 @@ same Galois orbit of cycles are merged into a single record.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -99,9 +98,6 @@ class CycleRecord:
             "points": self.point_strings(),
             "trace": trace,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _orbit_of_generator(

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import DegreeGuardError
 from .polynomials import DEGREE_GUARD, BiPoly, Poly
@@ -45,16 +47,18 @@ def _chain(z, c, d: int, n: int) -> list:
 
 
 def _mobius_quotient(chain: list, n: int):
-    """Phi_n = prod over m | n of (phi^m(z) - z)^mu(n/m), from a chain reaching phi^n."""
+    """Phi_n = prod over m | n of (phi^m(z) - z)^mu(n/m), from a chain reaching phi^n.
+
+    Each product starts from its first factor; only n = 1 has no denominator.
+    """
     z = chain[0]
-    numerator = denominator = z**0
+    factors = {1: [], -1: []}
     for m in divisors(n):
         mu = mobius(n // m)
-        if mu == 1:
-            numerator = numerator * (chain[m] - z)
-        elif mu == -1:
-            denominator = denominator * (chain[m] - z)
-    return numerator.exact_div(denominator)
+        if mu:
+            factors[mu].append(chain[m] - z)
+    numerator = reduce(mul, factors[1])
+    return numerator.exact_div(reduce(mul, factors[-1])) if factors[-1] else numerator
 
 
 def iterate(spec: MapSpec, n: int) -> Poly:
@@ -100,7 +104,5 @@ def verify_product_identity(spec: MapSpec, n: int) -> bool:
     for m in divisors(n):
         check_degree_guard(spec.d, m)
     chain = _chain(Poly.identity(), Poly.constant(spec.c), spec.d, n)
-    product = Poly.one()
-    for m in divisors(n):
-        product = product * _mobius_quotient(chain, m)
+    product = reduce(mul, (_mobius_quotient(chain, m) for m in divisors(n)))
     return product == chain[n] - chain[0]

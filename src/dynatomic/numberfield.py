@@ -1,18 +1,19 @@
 """Arithmetic in Q[z]/(f), exact linear algebra over Q, and quadratic fields.
 
 A `QuotientAlgebra` is the quotient by a monic irreducible modulus; its
-elements house periodic points algebraically.  Internally elements live in a
-rescaled basis w = L*z in which the modulus is monic with integer
-coefficients, so products reduce with pure integer row operations and only
-one gcd normalization per result.  The public representative is still a
-polynomial in z of degree < D over Q.
+elements house periodic points algebraically.  Internally elements live in
+the rescaled basis w = s*z of `polynomials._monic_scale`, in which the
+modulus is monic with integer coefficients: every element enters through
+`_reduce` as an integer vector over one denominator, so it reduces with pure
+integer row operations and one gcd normalization.  The public representative
+is still a polynomial in z of degree < D over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt, lcm
+from math import gcd as int_gcd, isqrt
 from typing import Sequence
 
 from .errors import NotQuadraticIrrational, ParentMismatchError
@@ -30,21 +31,16 @@ class QuotientAlgebra:
     from a factorization); arithmetic works regardless, field axioms do not.
     """
 
-    __slots__ = ("modulus", "degree", "_scale_powers", "_int_modulus")
+    __slots__ = ("modulus", "degree", "_scale", "_int_modulus")
 
     def __init__(self, modulus: Poly):
         if modulus.degree() < 1:
             raise ValueError("modulus must have degree >= 1")
         modulus = modulus.monic()
         object.__setattr__(self, "modulus", modulus)
-        d = modulus.degree()
-        object.__setattr__(self, "degree", d)
-        scale = _monic_scale(modulus.coeffs)  # divides the lcm of the denominators
-        powers = [1] * (d + 1)
-        for k in range(1, d + 1):
-            powers[k] = powers[k - 1] * scale
-        int_mod = _lift_common_denominator(modulus.coeffs, scale)[0]  # w = scale*z is its root
-        object.__setattr__(self, "_scale_powers", tuple(powers))
+        object.__setattr__(self, "degree", modulus.degree())
+        scale, int_mod = _monic_scale(modulus.coeffs)  # w = scale*z is a root of int_mod
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_int_modulus", tuple(int_mod))
 
     def __setattr__(self, name, value):
@@ -65,38 +61,35 @@ class QuotientAlgebra:
     # -- element construction ------------------------------------------------
 
     def element(self, rep: Poly | Fraction | int) -> AlgElement:
-        """Class of a polynomial (reduced mod the modulus) or of a rational."""
+        """Class of a polynomial (reduced mod the modulus) or of a rational.
+
+        sum c_k z^k = sum N_k w^k / (L*s^n) for w = s*z, (N, L) =
+        `_lift_common_denominator(c, s)` and n = deg rep.
+        """
         if isinstance(rep, (Fraction, int)):
             rep = Poly.constant(rep)
-        if rep.degree() >= self.degree:
-            rep = rep % self.modulus
-        coeffs = rep.coeffs
-        den = lcm(*(c.denominator * self._scale_powers[k] for k, c in enumerate(coeffs)))
-        nums = [0] * self.degree
-        for k, c in enumerate(coeffs):
-            nums[k] = c.numerator * (den // (c.denominator * self._scale_powers[k]))
-        return AlgElement(self, *_normalize(nums, den))
+        nums, den = _lift_common_denominator(rep.coeffs, self._scale)
+        return self._reduce(nums, den * self._scale ** max(rep.degree(), 0))
 
     def zero(self) -> AlgElement:
         return AlgElement(self, (0,) * self.degree, 1)
 
     def one(self) -> AlgElement:
-        return self.element(1)
+        return AlgElement(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def generator(self) -> AlgElement:
         """The class of z itself."""
         return self.element(Poly.identity())
 
-    def _reduce(self, nums: list[int], den: int) -> AlgElement:
-        """Reduce a raw w-basis integer vector of any length mod the modulus."""
+    def _reduce(self, nums: Sequence[int], den: int) -> AlgElement:
+        """The class of sum nums_k w^k / den, den != 0, for a w-basis vector of any length.
+
+        The vector is reduced mod the modulus and brought to lowest terms with den > 0,
+        the one form every element is stored in.
+        """
         rem = _zz_divmod(nums, self._int_modulus)[1]
-        return AlgElement(self, *_normalize(rem + [0] * (self.degree - len(rem)), den))
-
-
-def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """Cancel the common factor of (nums, den) and make den positive; den != 0."""
-    *nums, den = _zz_primitive([*nums, den])
-    return tuple(nums), den
+        *rem, den = _zz_primitive(rem + [0] * (self.degree - len(rem)) + [den])
+        return AlgElement(self, tuple(rem), den)
 
 
 class AlgElement:
@@ -120,8 +113,8 @@ class AlgElement:
     @property
     def representative(self) -> Poly:
         """Representative polynomial in z of degree < D."""
-        sp = self.parent._scale_powers
-        return Poly([Fraction(n * sp[k], self._den) for k, n in enumerate(self._nums)])
+        s = self.parent._scale
+        return Poly([Fraction(n * s**k, self._den) for k, n in enumerate(self._nums)])
 
     def coordinates(self) -> list[Fraction]:
         """Coordinates in the internal basis; a Q-vector space view for linear algebra."""
@@ -170,7 +163,7 @@ class AlgElement:
         g = int_gcd(da, db)
         ma, mb = db // g, da // g
         nums = [a * ma + b * mb for a, b in zip(self._nums, other._nums)]
-        return AlgElement(self.parent, *_normalize(nums, da * ma))
+        return self.parent._reduce(nums, da * ma)
 
     __radd__ = __add__
 

@@ -40,13 +40,17 @@ def _lift_common_denominator(coeffs: Sequence[Fraction], s: int = 1) -> tuple[li
     return [num * (den // d) for num, d in reversed(parts)], den
 
 
-def _monic_scale(h: Sequence[Fraction]) -> int:
-    """An s with s^(D-i)*h_i integral for every i, for monic h of degree D; greedy, no factoring."""
+def _monic_scale(h: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(s, G) for monic h of degree D, with G_i = s^(D-i)*h_i integral; s is greedy, no factoring.
+
+    G is monic in Z[u] with the root u = s*z for each root z of h: the one scaled
+    monic form of `Poly` division and of `numberfield.QuotientAlgebra`.
+    """
     s, top = 1, len(h) - 1
     for i in range(top - 1, -1, -1):
         den = h[i].denominator
         s *= den // int_gcd(den, s ** (top - i))
-    return s
+    return s, _lift_common_denominator(h, s)[0]
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -131,13 +135,17 @@ def _ks_bias(n: int, nb: int) -> int:
 
 
 def _power(base, n: int, one):
-    """base**n for n >= 0 by square-and-multiply; `one` is the ring's identity."""
-    result = one
-    while n:
-        if n & 1:
+    """base**n for n >= 0, left-to-right square-and-multiply from base; `one` answers n = 0.
+
+    n >= 1 takes bitlen(n) - 1 squarings and popcount(n) - 1 products by base.
+    """
+    if not n:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        base = base * base if n > 1 else base
-        n >>= 1
     return result
 
 
@@ -330,10 +338,10 @@ class Poly(_Dense):
             raise PolynomialZeroDivisionError("polynomial division by zero")
         if self.degree() < other.degree():
             return Poly.zero(), self
-        lc, h = other._coeffs[-1], other.monic()._coeffs
-        s = _monic_scale(h)
+        lc = other._coeffs[-1]
+        s, big_g = _monic_scale(other.monic()._coeffs)
         big_f, big_l = _lift_common_denominator(self._coeffs, s)
-        quot, rem = _zz_divmod(big_f, _lift_common_denominator(h, s)[0])
+        quot, rem = _zz_divmod(big_f, big_g)
         n, top, qden = len(big_f) - 1, len(quot) - 1, big_l * lc.numerator
         q = [Fraction(c * lc.denominator, qden * s ** (top - i)) for i, c in enumerate(quot)]
         return Poly(q), Poly([Fraction(c, big_l * s ** (n - i)) for i, c in enumerate(rem)])
@@ -680,29 +688,30 @@ def _rational_term(q: Fraction, power: int, var: str) -> tuple[str, str]:
     return ("+", f"({q})*{pw}") if q < 0 else ("+", f"{q}*{pw}")
 
 
-def format_poly(p: Poly, var: str = "z") -> str:
-    """Canonical text: descending powers, e.g. "z^6 + (-7/4)*z^3 + 1/2"."""
-    if p.is_zero():
-        return "0"
+def _join_terms(terms: Iterable[tuple[str, str]]) -> str:
+    """Join (sign, body) terms, highest power first, as "a + b - c"; "0" for no terms."""
     parts: list[str] = []
-    for power in range(p.degree(), -1, -1):
-        q = p.coefficient(power)
-        if q == 0:
-            continue
-        sign, body = _rational_term(q, power, var)
+    for sign, body in terms:
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:
-            parts.append(f" {'-' if sign == '-' else '+'} {body}")
-    return "".join(parts)
+            parts.append(f" {sign} {body}")
+    return "".join(parts) or "0"
 
 
-def _bipoly_term(coeff: Poly, power: int, var: str, cvar: str) -> tuple[str, str]:
+def format_poly(p: Poly, var: str = "z") -> str:
+    """Canonical text: descending powers, e.g. "z^6 + (-7/4)*z^3 + 1/2"."""
+    return _join_terms(
+        _rational_term(q, power, var) for power, q in reversed(list(enumerate(p.coeffs))) if q
+    )
+
+
+def _bipoly_term(coeff: Poly, power: int) -> tuple[str, str]:
     if coeff.is_constant():
-        return _rational_term(coeff.constant_value(), power, var)
+        return _rational_term(coeff.constant_value(), power, "z")
     n_terms = sum(1 for q in coeff.coeffs if q != 0)
-    inner = format_poly(coeff, cvar)
-    pw = _format_power(var, power)
+    inner = format_poly(coeff, "c")
+    pw = _format_power("z", power)
     if n_terms > 1:
         body = f"({inner})"
     elif inner.startswith("-"):
@@ -712,23 +721,14 @@ def _bipoly_term(coeff: Poly, power: int, var: str, cvar: str) -> tuple[str, str
     return "+", f"{body}*{pw}" if pw else body
 
 
-def format_bipoly(p: BiPoly, var: str = "z", cvar: str = "c") -> str:
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for power in range(p.degree(), -1, -1):
-        coeff = p.coeffs[power]
-        if coeff.is_zero():
-            continue
-        sign, body = _bipoly_term(coeff, power, var, cvar)
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {'-' if sign == '-' else '+'} {body}")
-    return "".join(parts)
+def format_bipoly(p: BiPoly) -> str:
+    """Canonical text of a polynomial in z over Q[c], e.g. "z^2 + z + (c + 1)"."""
+    return _join_terms(
+        _bipoly_term(coeff, power) for power, coeff in reversed(list(enumerate(p.coeffs))) if coeff
+    )
 
 
-def parse_poly(text: str, var: str = "z") -> Poly:
+def parse_poly(text: str) -> Poly:
     """Parse the canonical text form back into a Poly.
 
     Accepts optional whitespace, parenthesized signed rationals, '*' between
@@ -774,7 +774,7 @@ def parse_poly(text: str, var: str = "z") -> Poly:
 
     coeffs: dict[int, Fraction] = {}
     for tsign, term in terms:
-        coeff, power = _parse_term(term, var, text)
+        coeff, power = _parse_term(term, text)
         coeffs[power] = coeffs.get(power, _ZERO) + tsign * coeff
     top = max((k for k, v in coeffs.items() if v), default=0)
     if top > DEGREE_GUARD:
@@ -782,7 +782,7 @@ def parse_poly(text: str, var: str = "z") -> Poly:
     return Poly([coeffs.get(i, _ZERO) for i in range(top + 1)])
 
 
-def _parse_term(term: str, var: str, original: str) -> tuple[Fraction, int]:
+def _parse_term(term: str, original: str) -> tuple[Fraction, int]:
     body = term.replace(" ", "")
     coeff = _ONE
     saw_coeff = False
@@ -796,13 +796,13 @@ def _parse_term(term: str, var: str, original: str) -> tuple[Fraction, int]:
             body = body[1:]
     if not body:
         return coeff, 0
-    if body.startswith(var):
-        rest = body[len(var) :]
+    if body.startswith("z"):
+        rest = body[1:]
     else:
-        # leading bare number, possibly followed by * var
+        # leading bare number, possibly followed by * z
         stop = len(body)
         for i, ch in enumerate(body):
-            if ch == "*" or ch == var:
+            if ch in "*z":
                 stop = i
                 break
         num = body[:stop]
@@ -814,9 +814,9 @@ def _parse_term(term: str, var: str, original: str) -> tuple[Fraction, int]:
             body = body[1:]
         if not body:
             return coeff, 0
-        if not body.startswith(var):
+        if not body.startswith("z"):
             raise ValueError(f"unexpected variable in term {term!r} of {original!r}")
-        rest = body[len(var) :]
+        rest = body[1:]
     if not rest:
         return coeff, 1
     if not rest.startswith("^"):

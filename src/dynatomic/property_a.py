@@ -56,14 +56,13 @@ class PointVerdict:
     field_degree: int
     orbit_field_degree: int
     holds: bool
-    method: str = "degree-comparison"
 
     def to_json_dict(self) -> dict:
         return {
             "factor_degree": self.field_degree,
             "D0": self.orbit_field_degree,
             "holds": self.holds,
-            "method": self.method,
+            "method": "degree-comparison",
         }
 
 
@@ -133,15 +132,8 @@ def check_quadratic_cycle(record: CycleRecord) -> bool:
     n = record.exact_period
     if n % 2:
         return False
-    start = record.orbit[0]
-    halfway = record.orbit[n // 2]
-    # conjugation in Q[z]/(z^2 + p z + q): gen -> -p - gen
-    rep = start.representative
-    p1 = record.factor.coefficient(1)
-    conjugate = record.orbit[0].parent.element(
-        Poly([rep.coefficient(0) - rep.coefficient(1) * p1, -rep.coefficient(1)])
-    )
-    return halfway == conjugate
+    # orbit[0] is the class of z, whose conjugate in Q[z]/(z^2 + p z + q) is -p - z
+    return record.orbit[n // 2] == -record.factor.coefficient(1) - record.orbit[0]
 
 
 def trace_test(record: CycleRecord) -> bool:

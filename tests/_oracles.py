@@ -25,7 +25,10 @@ to `mignotte_bound`, s * 2^n * max|a| * |lc f|, and rebuilt subsets of up
 to half the modular factors whatever their degree, with only the
 trailing-coefficient prune; `factorq` now lifts to a half-degree bound,
 rebuilds the side of degree at most deg(rest) / 2 and gates it on its
-next-to-leading coefficient.
+next-to-leading coefficient.  `half_period_conjugate` is the quadratic
+fast path as `property_a.check_quadratic_cycle` ran it before it compared
+the half-period iterate with -p - z directly: it conjugates the start's
+representative a + b*z to (a - b*p) - b*z and takes the class of that.
 """
 
 from __future__ import annotations
@@ -153,6 +156,16 @@ def fraction_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
             for i in range(dd + 1):
                 rem[k - dd + i] -= q * div[i]
     return Poly(quot), Poly(rem[:dd])
+
+
+def half_period_conjugate(record: CycleRecord) -> bool:
+    """phi^(N/2)(x) equals the conjugate of x = orbit[0] in Q[z]/(z^2 + p*z + q); False for odd N."""
+    n = record.exact_period
+    if n % 2:
+        return False
+    rep, p = record.orbit[0].representative, record.factor.coefficient(1)
+    a, b = rep.coefficient(0), rep.coefficient(1)
+    return record.orbit[n // 2] == record.orbit[0].parent.element(Poly([a - b * p, -b]))
 
 
 def naive_gcd(f: Poly, g: Poly) -> Poly:

@@ -113,9 +113,9 @@ class TestScaledDivision:
         b = c.denominator
         for m in range(1, 5):
             h = (iterate(MapSpec(d, c), m) - Z).coeffs
-            s = _monic_scale(h)
-            big_g, big_l = _lift_common_denominator(h, s)
-            assert big_l == 1 and big_g[-1] == 1  # s^D * h(u/s) is monic in Z[u]
+            s, big_g = _monic_scale(h)
+            assert _lift_common_denominator(h, s) == (big_g, 1)
+            assert big_g[-1] == 1  # s^D * h(u/s) is monic in Z[u]
             assert _lift_common_denominator(h, b)[1] == 1  # so would be the scale b
             # the greedy scale is b for phi - z and, at d = 2, for odd b; in
             # general it can fall below b (24 at c = -71/48, m = 2) or exceed it

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dynatomic import numberfield, polynomials
 from dynatomic.errors import NotQuadraticIrrational, ParentMismatchError
 from dynatomic.factorq import is_irreducible
 from dynatomic.numberfield import (
@@ -16,8 +17,8 @@ from dynatomic.numberfield import (
     realize_quadratic,
     subfield_degree,
 )
-from dynatomic.polynomials import Poly
-from _oracles import subfield_degree_sweep, trial_extract_square
+from dynatomic.polynomials import Poly, _monic_scale
+from _oracles import fraction_divmod, subfield_degree_sweep, trial_extract_square
 
 Z = Poly.identity()
 CYCLO7 = Poly([1] * 7)
@@ -106,6 +107,56 @@ class TestAlgebraArithmetic:
             assert (x * y).representative == (x.representative * y.representative) % modulus
         x = a.generator() + Fraction(1, 3)
         assert (x**7).representative == (x.representative**7) % modulus
+
+
+# large and pairwise coprime denominators make the scale of the modulus large
+rationals = st.builds(
+    Fraction,
+    st.integers(-(10**9), 10**9),
+    st.sampled_from([1, 2, 77, 1024, 3**9]) | st.integers(1, 10**6),
+)
+
+
+@st.composite
+def modulus_and_rep(draw):
+    """A rational modulus of degree 1..6 and a representative of degree deg m .. deg m + 8."""
+    m = Poly(draw(st.lists(rationals, min_size=1, max_size=6)) + [draw(rationals.filter(bool))])
+    n = draw(st.integers(m.degree(), m.degree() + 8))
+    return m, Poly(draw(st.lists(rationals, min_size=n, max_size=n)) + [draw(rationals.filter(bool))])
+
+
+class TestElementReduction:
+    """`element` reduces in the scaled basis; the long division over Fraction is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(modulus_and_rep())
+    @example((Z**3 + Fraction(1, 2) * Z + Fraction(37, 48), Z**9 - Fraction(1, 3)))
+    @example((Fraction(-5, 3) * Z + Fraction(2, 77), Z * Fraction(7, 1024)))
+    def test_matches_fraction_remainder(self, case):
+        m, r = case
+        assert QuotientAlgebra(m).element(r).representative == fraction_divmod(r, m)[1]
+
+    def test_division_and_algebra_share_the_monic_scale(self, monkeypatch):
+        m = Z**3 + Fraction(1, 2) * Z + Fraction(37, 48)
+        seen = []
+
+        def spy(h):
+            seen.append((tuple(h), _monic_scale(h)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(polynomials, "_monic_scale", spy)
+        monkeypatch.setattr(numberfield, "_monic_scale", spy)
+        divmod(Z**5, 3 * m)
+        a = QuotientAlgebra(3 * m)
+        assert seen == [(m.coeffs, (12, [1332, 72, 0, 1]))] * 2
+        assert a._int_modulus == (1332, 72, 0, 1)
+
+        def refuse(*args):
+            raise AssertionError("element went through Poly division")
+
+        monkeypatch.setattr(Poly, "__divmod__", refuse)
+        assert a.element(Z**5).representative == fraction_divmod(Z**5, m)[1]
+        assert len(seen) == 2
 
 
 class TestApplyPhi:

@@ -21,6 +21,7 @@ from dynatomic.polynomials import (
     _convolve,
     _gf_divmod,
     _lift_common_denominator,
+    _power,
     _slot_bytes,
     _slot_pack,
     _slot_unpack,
@@ -92,6 +93,35 @@ class TestCompose:
         for _ in range(100):
             f, g, h = (rand_poly(rng, 5) for _ in range(3))
             assert f(g(h)) == f(g)(h)
+
+
+class _Monomial:
+    """x^k in a ring that logs each product and refuses the unit x^0 as an operand."""
+
+    def __init__(self, k, log):
+        self.k, self.log = k, log
+
+    def __mul__(self, other):
+        assert self.k and other.k, "a product by the unit"
+        self.log.append((self.k, other.k))
+        return _Monomial(self.k + other.k, self.log)
+
+
+class TestPower:
+    def test_left_to_right_from_the_base(self):
+        for n in range(1, 65):
+            log = []
+            one = _Monomial(0, log)
+            assert _power(_Monomial(1, log), n, one).k == n
+            assert len(log) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
+        assert _power(_Monomial(1, []), 0, one) is one
+
+    def test_poly_powers(self):
+        f = Poly([Fraction(1, 3), -2, Fraction(5, 7)])
+        expected = Poly.one()
+        for n in range(12):
+            assert f**n == expected
+            expected = expected * f
 
 
 class TestExactDiv:

@@ -31,7 +31,7 @@ from dynatomic.property_a import (
 )
 from dynatomic.rationals import enumerate_rationals_by_height
 from dynatomic.scan import scan_one
-from _oracles import owner_search_merge, symmetric_functions
+from _oracles import half_period_conjugate, owner_search_merge, symmetric_functions
 
 Z = Poly.identity()
 
@@ -62,7 +62,7 @@ class TestCheckPoint:
         verdict = check_point(rec)
         assert (verdict.field_degree, verdict.orbit_field_degree) == (2, 1)
         assert verdict.holds
-        assert verdict.method == "degree-comparison"
+        assert verdict.to_json_dict()["method"] == "degree-comparison"
 
     def test_cyclotomic_three_cycle(self):
         rec = cycles_from_dynatomic(MapSpec(2, Fraction(0)), 3)[0]
@@ -245,6 +245,23 @@ class TestCheckQuadraticCycle:
         rec = cycles_from_dynatomic(MapSpec(2, Fraction(0)), 3)[0]
         with pytest.raises(ValueError):
             check_quadratic_cycle(rec)
+
+    def test_matches_general_conjugation(self):
+        # every quadratic record of d = 2, N in {2, 4, 6}, h <= 5, degenerate ones included,
+        # and the quadratic 6-cycles at c = -71/48.  All of them comply, so each is also
+        # tried with orbit[1] moved to the end, which puts a wrong point at N/2 for N >= 4
+        cells = [(c, n) for n in (2, 4, 6) for c in enumerate_rationals_by_height(5)]
+        outcomes = {True: 0, False: 0}
+        for c, n in cells + [(Fraction(-71, 48), 6)]:
+            for rec in cycles_from_dynatomic(MapSpec(2, c), n):
+                if rec.field_degree != 2:
+                    continue
+                for orbit in (rec.orbit, rec.orbit[:1] + rec.orbit[2:] + rec.orbit[1:2]):
+                    tried = replace(rec, orbit=orbit)
+                    fast = check_quadratic_cycle(tried)
+                    assert fast == half_period_conjugate(tried), (c, n)
+                    outcomes[fast] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 class TestTraceTest:
