@@ -169,7 +169,7 @@ def _merge_records(records: list[CycleRecord]) -> list[CycleRecord]:
     for rec in records:
         groups[(rec.field_degree, rec.exact_period, rec.multiplicity)].append(rec.factor)
 
-    absorbed: list[Poly] = []  # lists, not sets: hashing a Poly hashes every Fraction
+    absorbed: list[Poly] = []
     out = []
     for rec in records:  # preserve canonical factor order
         if rec.factor in absorbed:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 from .errors import NotQuadraticIrrational, ParentMismatchError
 from .polynomials import (
-    Poly, _convolve, _lift_common_denominator, _monic_scale, _power, _zz_divmod, _zz_primitive,
+    Poly, _Dense, _Scaled, _monic_scale, _scaled_lift, _unscale, _zz_divmod, _zz_primitive,
 )
 
 _ZERO = Fraction(0)
@@ -39,7 +39,7 @@ class QuotientAlgebra:
         modulus = modulus.monic()
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "degree", modulus.degree())
-        scale, int_mod = _monic_scale(modulus.coeffs)  # w = scale*z is a root of int_mod
+        scale, int_mod = _monic_scale(modulus._nums)  # w = scale*z is a root of int_mod
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_int_modulus", tuple(int_mod))
 
@@ -63,145 +63,80 @@ class QuotientAlgebra:
     def element(self, rep: Poly | Fraction | int) -> AlgElement:
         """Class of a polynomial (reduced mod the modulus) or of a rational.
 
-        sum c_k z^k = sum N_k w^k / (L*s^n) for w = s*z, (N, L) =
-        `_lift_common_denominator(c, s)` and n = deg rep.
+        rep = sum F_k w^k / (L*s^n) for w = s*z, (F, L) = `_scaled_lift` of rep
+        and n = deg rep.
         """
         if isinstance(rep, (Fraction, int)):
             rep = Poly.constant(rep)
-        nums, den = _lift_common_denominator(rep.coeffs, self._scale)
+        nums, den = _scaled_lift(rep._nums, rep._den, self._scale)
         return self._reduce(nums, den * self._scale ** max(rep.degree(), 0))
 
     def zero(self) -> AlgElement:
-        return AlgElement(self, (0,) * self.degree, 1)
+        return AlgElement(self, (), 1)
 
     def one(self) -> AlgElement:
-        return AlgElement(self, (1,) + (0,) * (self.degree - 1), 1)
+        return AlgElement(self, (1,), 1)
 
     def generator(self) -> AlgElement:
         """The class of z itself."""
         return self.element(Poly.identity())
 
-    def _reduce(self, nums: Sequence[int], den: int) -> AlgElement:
+    def _reduce(self, nums: list[int], den: int) -> AlgElement:
         """The class of sum nums_k w^k / den, den != 0, for a w-basis vector of any length.
 
         The vector is reduced mod the modulus and brought to lowest terms with den > 0,
         the one form every element is stored in.
         """
-        rem = _zz_divmod(nums, self._int_modulus)[1]
-        *rem, den = _zz_primitive(rem + [0] * (self.degree - len(rem)) + [den])
+        *rem, den = _zz_primitive(_zz_divmod(nums, self._int_modulus)[1] + [den])
         return AlgElement(self, tuple(rem), den)
 
 
-class AlgElement:
-    """Element of a QuotientAlgebra; immutable, exact, hashable."""
+class AlgElement(_Scaled):
+    """Element of a QuotientAlgebra, stored as a `_Scaled` vector in the basis w^k, w = s*z."""
 
-    __slots__ = ("parent", "_nums", "_den")
+    __slots__ = ("parent",)
 
     def __init__(self, parent: QuotientAlgebra, nums: tuple[int, ...], den: int):
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgElement is immutable")
+        self._store(nums, den)
 
     def __reduce__(self):
         return (AlgElement, (self.parent, self._nums, self._den))
+
+    def _coerce(self, other) -> AlgElement:
+        if isinstance(other, AlgElement):
+            if self.parent is not other.parent and self.parent != other.parent:
+                raise ParentMismatchError("elements belong to different algebras")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.parent.element(other)
+        return NotImplemented
+
+    def _make(self, nums: list[int], den: int) -> AlgElement:
+        return self.parent._reduce(nums, den)
 
     # -- views ---------------------------------------------------------------
 
     @property
     def representative(self) -> Poly:
         """Representative polynomial in z of degree < D."""
-        s = self.parent._scale
-        return Poly([Fraction(n * s**k, self._den) for k, n in enumerate(self._nums)])
+        return Poly._make(_unscale(self._nums, self.parent._scale), self._den)
 
     def coordinates(self) -> list[Fraction]:
         """Coordinates in the internal basis; a Q-vector space view for linear algebra."""
-        return [Fraction(n, self._den) for n in self._nums]
+        pad = [_ZERO] * (self.parent.degree - len(self._nums))
+        return [Fraction(n, self._den) for n in self._nums] + pad
 
     def is_rational(self) -> bool:
-        return not any(self._nums[1:])
+        return len(self._nums) <= 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return Fraction(self._nums[0], self._den)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AlgElement):
-            return (
-                self.parent == other.parent
-                and self._nums == other._nums
-                and self._den == other._den
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # a rational element equals the Fraction it holds, so it must hash like it too
-        if self.is_rational():
-            return hash(self.as_rational())
-        return hash((self._nums, self._den))
+        return Fraction(self._nums[0] if self._nums else 0, self._den)
 
     def __repr__(self) -> str:
         return f"AlgElement({self.representative!s})"
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _check_parent(self, other: AlgElement) -> None:
-        if self.parent is not other.parent and self.parent != other.parent:
-            raise ParentMismatchError("elements belong to different algebras")
-
-    def __add__(self, other) -> AlgElement:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_parent(other)
-        da, db = self._den, other._den
-        g = int_gcd(da, db)
-        ma, mb = db // g, da // g
-        nums = [a * ma + b * mb for a, b in zip(self._nums, other._nums)]
-        return self.parent._reduce(nums, da * ma)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> AlgElement:
-        return AlgElement(self.parent, tuple(-n for n in self._nums), self._den)
-
-    def __sub__(self, other) -> AlgElement:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> AlgElement:
-        return (-self) + other
-
-    def __mul__(self, other) -> AlgElement:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_parent(other)
-        if not any(self._nums) or not any(other._nums):
-            return self.parent.zero()
-        nums = _convolve(self._nums, other._nums)
-        return self.parent._reduce(nums, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> AlgElement:
-        if n < 0:
-            raise ValueError("negative powers are not defined in the algebra")
-        return _power(self, n, self.parent.one())
-
-    def _coerce(self, other) -> "AlgElement":
-        if isinstance(other, AlgElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.parent.element(other)
-        return NotImplemented
 
 
 def apply_phi(x: AlgElement, d: int, c: Fraction) -> AlgElement:
@@ -265,7 +200,7 @@ def minimal_polynomial(x: AlgElement) -> Poly:
         if not any(red[:d]):
             return Poly(red[d : d + m + 1])
         space.add(red)
-        power = power * x
+        power = power * x if m else x
     raise AssertionError("no dependency among D+1 powers; broken algebra")
 
 
@@ -328,7 +263,7 @@ def _extract_square(n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class QuadraticElement:
+class QuadraticElement(_Dense):
     """a + b*sqrt(disc) with squarefree disc; disc is None for plain rationals."""
 
     disc: int | None
@@ -353,31 +288,33 @@ class QuadraticElement:
             return self.disc
         raise ValueError("elements of different quadratic fields")
 
+    @staticmethod
+    def _coerce(value) -> QuadraticElement:
+        if isinstance(value, QuadraticElement):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return QuadraticElement.rational(value)
+        return NotImplemented
+
     def __add__(self, other) -> QuadraticElement:
-        other = _coerce_quadratic(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         d = self._joint_disc(other)
         b = self.b + other.b
         return QuadraticElement(d if b else None, self.a + other.a, b)
 
-    __radd__ = __add__
-
     def __neg__(self) -> QuadraticElement:
         return QuadraticElement(self.disc, -self.a, -self.b)
 
-    def __sub__(self, other) -> QuadraticElement:
-        return self + (-_coerce_quadratic(other))
-
-    def __rsub__(self, other) -> QuadraticElement:
-        return (-self) + other
-
     def __mul__(self, other) -> QuadraticElement:
-        other = _coerce_quadratic(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         d = self._joint_disc(other)
         a = self.a * other.a + (self.b * other.b * d if d is not None else 0)
         b = self.a * other.b + self.b * other.a
         return QuadraticElement(d if b else None, a, b)
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> QuadraticElement:
         return QuadraticElement(self.disc, self.a, -self.b) if self.b else self
@@ -386,10 +323,7 @@ class QuadraticElement:
         return self.b == 0
 
     def apply_phi(self, d: int, c: Fraction) -> QuadraticElement:
-        out = QuadraticElement.rational(1)
-        for _ in range(d):
-            out = out * self
-        return out + QuadraticElement.rational(c)
+        return self**d + c
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -406,14 +340,6 @@ class QuadraticElement:
         if tail.startswith("-"):
             return f"{self.a} - {tail[1:]}"
         return f"{self.a} + {tail}"
-
-
-def _coerce_quadratic(value) -> QuadraticElement:
-    if isinstance(value, QuadraticElement):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QuadraticElement.rational(value)
-    raise TypeError(f"cannot mix QuadraticElement with {type(value)!r}")
 
 
 def as_quadratic(f: Poly) -> tuple[QuadraticElement, QuadraticElement]:

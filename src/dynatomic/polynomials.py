@@ -1,12 +1,12 @@
 """Dense exact polynomial arithmetic.
 
-`Poly` is a univariate polynomial over Q stored as a coefficient list
-(index = power).  `BiPoly` is a polynomial in z whose coefficients are
-`Poly` objects in the parameter c, i.e. an element of Q[c][z].
+`Poly` is a univariate polynomial over Q stored, like `numberfield.AlgElement`,
+as integer numerators by power over one denominator (`_Scaled`).  `BiPoly` is a
+polynomial in z whose coefficients are `Poly` objects in c, i.e. Q[c][z].
 
-Multiplication lifts coefficient vectors to a common integer denominator and
-convolves machine-free Python ints; division over Q rescales z so that the
-divisor becomes monic in Z[x] and runs the Z[x] long division.  Below the
+Multiplication convolves the numerators as machine-free Python ints; division
+over Q rescales z so that the divisor becomes monic in Z[x] and runs the Z[x]
+long division.  Below the
 classes sits the one list kernel for Z[x] and F_p[x]: gcds in Z[x] are built
 from F_p images by the Chinese remainder theorem and proved by exact
 division, and Yun's squarefree split runs on primitive integer forms.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
@@ -29,28 +30,44 @@ _ONE = Fraction(1)
 DEGREE_GUARD = 5000
 
 
-def _lift_common_denominator(coeffs: Sequence[Fraction], s: int = 1) -> tuple[list[int], int]:
-    """(N, L): N_j = L*c_j*s^(n-j) for n = len(coeffs) - 1, with the least L > 0 making N integral."""
-    parts, pw = [], 1
-    for c in reversed(coeffs):
-        g = int_gcd(c.denominator, pw)
-        parts.append((c.numerator * (pw // g), c.denominator // g))
-        pw *= s
-    den = lcm(*(d for _, d in parts))
-    return [num * (den // d) for num, d in reversed(parts)], den
+def _lift_common_denominator(coeffs: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(N, L): N_j = L*c_j with the least L > 0 making N integral, L = lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _monic_scale(h: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(s, G) for monic h of degree D, with G_i = s^(D-i)*h_i integral; s is greedy, no factoring.
+def _scaled_lift(nums: Sequence[int], den: int, s: int) -> tuple[list[int], int]:
+    """(F, L): F = L*s^n*f(u/s) in Z[u] for f = sum nums_j z^j / den of degree n, least L > 0.
 
-    G is monic in Z[u] with the root u = s*z for each root z of h: the one scaled
-    monic form of `Poly` division and of `numberfield.QuotientAlgebra`.
+    F_j = L*s^(n-j)*nums_j/den lifts f to u = s*z: the dividend of `Poly` division
+    and the entry of `numberfield.QuotientAlgebra.element`.
     """
-    s, top = 1, len(h) - 1
+    big = _unscale(nums[::-1], s)[::-1]
+    g = _zz_content([den, *big])
+    return [c // g for c in big], den // g
+
+
+def _unscale(nums: Sequence[int], s: int) -> list[int]:
+    """[nums_i * s^i]: a vector in the basis u^i, u = s*z, rewritten in the basis z^i."""
+    out, pw = [], 1
+    for c in nums:
+        out.append(c * pw)
+        pw *= s
+    return out
+
+
+def _monic_scale(nums: Sequence[int]) -> tuple[int, list[int]]:
+    """(s, G) for the monic h = sum nums_i z^i / nums[-1] of degree D in lowest terms.
+
+    G_i = s^(D-i)*h_i is integral; s is greedy, no factoring.  G is monic in Z[u]
+    with the root u = s*z for each root z of h: the one scaled monic form of
+    `Poly` division and of `numberfield.QuotientAlgebra`.
+    """
+    den, s, top = nums[-1], 1, len(nums) - 1
     for i in range(top - 1, -1, -1):
-        den = h[i].denominator
-        s *= den // int_gcd(den, s ** (top - i))
-    return s, _lift_common_denominator(h, s)[0]
+        d = den // int_gcd(den, nums[i])
+        s *= d // int_gcd(d, s ** (top - i))
+    return s, _scaled_lift(nums, den, s)[0]
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -134,13 +151,11 @@ def _ks_bias(n: int, nb: int) -> int:
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
 
-def _power(base, n: int, one):
-    """base**n for n >= 0, left-to-right square-and-multiply from base; `one` answers n = 0.
+def _power(base, n: int):
+    """base**n for n >= 1, left-to-right square-and-multiply from base.
 
-    n >= 1 takes bitlen(n) - 1 squarings and popcount(n) - 1 products by base.
+    bitlen(n) - 1 squarings and popcount(n) - 1 products by base.
     """
-    if not n:
-        return one
     result = base
     for bit in bin(n)[3:]:
         result = result * result
@@ -150,72 +165,27 @@ def _power(base, n: int, one):
 
 
 class _Dense:
-    """Ring code shared by `Poly` and `BiPoly`: immutable dense coefficient tuples.
+    """Operator plumbing of `Poly`, `BiPoly`, `numberfield.AlgElement` and `QuadraticElement`.
 
-    `_coeffs` holds the coefficients by power with no trailing zeros.  A
-    subclass supplies `__init__`, `__mul__` and a `_coerce` staticmethod that
-    turns an operand into an instance or returns NotImplemented; equality and
-    the additive operations coerce through it, so `a == b` exactly when
-    `(a - b).is_zero()`.
+    Instances are immutable.  A subclass supplies `__add__`, `__neg__`,
+    `__mul__` and a `_coerce` that turns an operand into an element of its
+    ring or returns NotImplemented; subtraction, the reflected operators and
+    powers follow from those.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __reduce__(self):
-        return (type(self), (self._coeffs,))
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        # a constant equals the number it holds, so it must hash like it too
-        if len(self._coeffs) <= 1:
-            return hash(self._coeffs[0] if self._coeffs else 0)
-        return hash(self._coeffs)
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self._coeffs)!r})"
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return type(self)(out)
+    def __radd__(self, other):
+        return self.__add__(other)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)([-c for c in self._coeffs])
+    def __rmul__(self, other):
+        return self.__mul__(other)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -231,20 +201,77 @@ class _Dense:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(self, n, self._coerce(1))
+            raise ValueError(f"negative power of {type(self).__name__}")
+        return _power(self, n) if n else self._coerce(1)
 
 
-class Poly(_Dense):
-    """Immutable dense polynomial over Q in one variable (conventionally z)."""
+class _Scaled(_Dense):
+    """Ring code of `Poly` and `numberfield.AlgElement`: integer numerators over one denominator.
+
+    The element is sum _nums[i] * x^i / _den in lowest terms: `_nums` has no
+    trailing zero, `_den` > 0, and gcd(_nums, _den) = 1, so `==` compares the
+    stored form.  A subclass supplies `_coerce` and `_make(nums, den)`, which
+    brings any integer vector over a nonzero denominator to that form.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def _store(self, nums: tuple[int, ...], den: int):
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+        return self
+
+    def _like(self, nums: tuple[int, ...], den: int):
+        """nums/den in the ring of self, stored as given: it must already be in lowest terms."""
+        out = object.__new__(type(self))
+        for name in type(self).__slots__:  # what names the ring, e.g. AlgElement.parent
+            object.__setattr__(out, name, getattr(self, name))
+        return out._store(nums, den)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._nums == other._nums and self._den == other._den
+
+    def __hash__(self) -> int:
+        # a constant equals the number it holds, so it must hash like it too
+        if len(self._nums) <= 1:
+            return hash(Fraction(self._nums[0] if self._nums else 0, self._den))
+        return hash((self._nums, self._den))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, den = self._nums, other._nums, self._den
+        if den != other._den:
+            g = int_gcd(den, other._den)
+            a, b = [c * (other._den // g) for c in a], [c * (den // g) for c in b]
+            den = den // g * other._den
+        return self._make(_zz_add(a, b), den)
+
+    def __neg__(self):
+        return self._like(tuple(-c for c in self._nums), self._den)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._make(_convolve(self._nums, other._nums), self._den * other._den)
+
+
+class Poly(_Scaled):
+    """Polynomial over Q in one variable (conventionally z); `coeffs` reads it as `Fraction`s."""
 
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        nums, den = _lift_common_denominator(list(coeffs))
+        self._store(tuple(_zz_normalize(nums)), den)
+
+    def __reduce__(self):
+        return (Poly._make, (list(self._nums), self._den))
 
     @staticmethod
     def _coerce(value) -> Poly:
@@ -254,7 +281,19 @@ class Poly(_Dense):
             return Poly.constant(value)
         return NotImplemented
 
+    @staticmethod
+    def _make(nums: list[int], den: int) -> Poly:
+        """sum nums_i z^i / den brought to lowest terms; consumes nums."""
+        _zz_normalize(nums)
+        if den != 1:
+            *nums, den = _zz_primitive(nums + [den])
+        return object.__new__(Poly)._store(tuple(nums), den)
+
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> Poly:
+        return cls(())
 
     @classmethod
     def one(cls) -> Poly:
@@ -271,57 +310,59 @@ class Poly(_Dense):
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
+
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self._nums) - 1
+
+    def is_zero(self) -> bool:
+        return not self._nums
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
+
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._nums) <= 1
 
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            return _ZERO
-        return self._coeffs[-1]
+        return self.coefficient(len(self._nums) - 1)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self._coeffs[0] if self._coeffs else _ZERO
+        return self.coefficient(0)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._nums):
+            return Fraction(self._nums[power], self._den)
         return _ZERO
 
     def __str__(self) -> str:
         return format_poly(self)
 
-    # -- ring operations ---------------------------------------------------
-
-    def __mul__(self, other) -> Poly:
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        na, da = _lift_common_denominator(self._coeffs)
-        nb, db = _lift_common_denominator(other._coeffs)
-        nums = _convolve(na, nb)
-        den = da * db
-        return Poly([Fraction(n, den) for n in nums])
-
-    __rmul__ = __mul__
-
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int, and any ring element."""
-        if not self._coeffs:
-            return _ZERO if isinstance(x, (int, Fraction)) else x * 0
-        acc = self._coeffs[-1] if isinstance(x, (int, Fraction)) else x * 0 + self._coeffs[-1]
-        for c in reversed(self._coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation; works for Fraction, int, and any ring element.
+
+        From degree 1 up it starts at lc*x, or at x itself when lc = 1.
+        """
+        cs = self.coeffs
+        if len(cs) <= 1:
+            c = cs[0] if cs else _ZERO
+            return c if isinstance(x, (int, Fraction)) else x._coerce(c)
+        acc = x if cs[-1] == 1 else cs[-1] * x
+        for c in reversed(cs[1:-1]):
+            acc = (acc + c) * x
+        return acc + cs[0]
 
     def monic(self) -> Poly:
-        if not self._coeffs:
+        if not self._nums:
             raise PolynomialZeroDivisionError("no monic form of the zero polynomial")
-        lc = self._coeffs[-1]
-        if lc == 1:
+        if self._nums[-1] == self._den:
             return self
-        return Poly([c / lc for c in self._coeffs])
+        return Poly._make(list(self._nums), self._nums[-1])
 
     # -- division ----------------------------------------------------------
 
@@ -329,7 +370,7 @@ class Poly(_Dense):
         """Long division over Q run in Z[u], z = u/s: F = L*s^n*f(u/s) by G = s^D*h(u/s).
 
         h = other/lc is monic of degree D, so G is monic in Z[u], and F = Q*G + R gives
-        q_i = Q_i/(L*lc*s^(deg q - i)) and r_i = R_i/(L*s^(n - i)) for n = deg f.
+        q_i = Q_i*s^i/(L*lc*s^(deg q)) and r_i = R_i*s^i/(L*s^n) for n = deg f.
         """
         other = Poly._coerce(other)
         if other is NotImplemented:
@@ -338,13 +379,12 @@ class Poly(_Dense):
             raise PolynomialZeroDivisionError("polynomial division by zero")
         if self.degree() < other.degree():
             return Poly.zero(), self
-        lc = other._coeffs[-1]
-        s, big_g = _monic_scale(other.monic()._coeffs)
-        big_f, big_l = _lift_common_denominator(self._coeffs, s)
+        s, big_g = _monic_scale(other.monic()._nums)
+        big_f, big_l = _scaled_lift(self._nums, self._den, s)
         quot, rem = _zz_divmod(big_f, big_g)
-        n, top, qden = len(big_f) - 1, len(quot) - 1, big_l * lc.numerator
-        q = [Fraction(c * lc.denominator, qden * s ** (top - i)) for i, c in enumerate(quot)]
-        return Poly(q), Poly([Fraction(c, big_l * s ** (n - i)) for i, c in enumerate(rem)])
+        qden = other._nums[-1] * big_l * s ** (len(quot) - 1)
+        q = Poly._make([c * other._den for c in _unscale(quot, s)], qden)
+        return q, Poly._make(_unscale(rem, s), big_l * s ** (len(big_f) - 1))
 
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
@@ -373,7 +413,7 @@ class Poly(_Dense):
         if self.degree() < 1:
             return []
         out: list[tuple[Poly, int]] = []
-        f = _zz_primitive(_lift_common_denominator(self._coeffs)[0])
+        f = _zz_primitive(list(self._nums))
         df = _zz_derivative(f)
         a = _zz_gcd(f, df)
         b = _zz_divmod(f, a)[0]
@@ -584,13 +624,16 @@ def _gf_gcd(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
 class BiPoly(_Dense):
     """Polynomial in z with coefficients in Q[c], stored dense in z."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Poly] = ()):
         cs = [c if isinstance(c, Poly) else Poly.constant(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __reduce__(self):
+        return (BiPoly, (self.coeffs,))
 
     @staticmethod
     def _coerce(value) -> BiPoly:
@@ -599,6 +642,41 @@ class BiPoly(_Dense):
         if isinstance(value, (int, Fraction, Poly)):
             return BiPoly((value,))
         return NotImplemented
+
+    @classmethod
+    def zero(cls) -> BiPoly:
+        return cls(())
+
+    def degree(self) -> int:
+        """Degree in z; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        # a constant equals the Poly it holds, so it must hash like it too
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
+        return hash(self.coeffs)
+
+    def __add__(self, other) -> BiPoly:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return BiPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+
+    def __neg__(self) -> BiPoly:
+        return BiPoly([-c for c in self.coeffs])
 
     @classmethod
     def identity(cls) -> BiPoly:
@@ -617,17 +695,13 @@ class BiPoly(_Dense):
         other = BiPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return BiPoly.zero()
-        out = [Poly.zero()] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
+        out = [Poly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
             if not a.is_zero():
-                for j, b in enumerate(other._coeffs):
+                for j, b in enumerate(other.coeffs):
                     if not b.is_zero():
                         out[i + j] = out[i + j] + a * b
         return BiPoly(out)
-
-    __rmul__ = __mul__
 
     def exact_div(self, other: BiPoly) -> BiPoly:
         """Exact long division in Q[c][z]; every coefficient step must divide exactly."""
@@ -637,8 +711,8 @@ class BiPoly(_Dense):
             return BiPoly.zero()
         if self.degree() < other.degree():
             raise NonExactDivisionError("dividend degree below divisor degree")
-        rem = list(self._coeffs)
-        div = other._coeffs
+        rem = list(self.coeffs)
+        div = other.coeffs
         dd = len(div) - 1
         lc = div[-1]
         quot = [Poly.zero()] * (len(rem) - dd)
@@ -656,8 +730,7 @@ class BiPoly(_Dense):
 
     def evaluate_c(self, c_value: Fraction | int) -> Poly:
         """Specialize the parameter c, leaving a univariate polynomial in z."""
-        c_value = Fraction(c_value)
-        return Poly([p(c_value) for p in self._coeffs])
+        return Poly([p(c_value) for p in self.coeffs])
 
 
 # -- canonical text form ---------------------------------------------------

@@ -29,6 +29,11 @@ next-to-leading coefficient.  `half_period_conjugate` is the quadratic
 fast path as `property_a.check_quadratic_cycle` ran it before it compared
 the half-period iterate with -p - z directly: it conjugates the start's
 representative a + b*z to (a - b*p) - b*z and takes the class of that.
+`lift_common_denominator` is the Fraction-input lift with a scale s that
+`Poly` division and `QuotientAlgebra.element` ran before both lifted the
+stored integer numerators, and `fraction_mul` is the schoolbook product over
+Fraction that `Poly.__mul__` replaced with one integer convolution.
+`is_stored_form` spells out the stored form of `Poly` and `AlgElement`.
 """
 
 from __future__ import annotations
@@ -156,6 +161,42 @@ def fraction_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
             for i in range(dd + 1):
                 rem[k - dd + i] -= q * div[i]
     return Poly(quot), Poly(rem[:dd])
+
+
+def lift_common_denominator(coeffs: Sequence[Fraction], s: int = 1) -> tuple[list[int], int]:
+    """(N, L): N_j = L*c_j*s^(n-j) for n = len(coeffs) - 1, with the least L > 0 making N integral."""
+    parts, pw = [], 1
+    for c in reversed(coeffs):
+        g = gcd(c.denominator, pw)
+        parts.append((c.numerator * (pw // g), c.denominator // g))
+        pw *= s
+    den = 1
+    for _, d in parts:
+        den = den * d // gcd(den, d)
+    return [num * (den // d) for num, d in reversed(parts)], den
+
+
+def is_stored_form(x) -> bool:
+    """The invariant of `polynomials._Scaled`: int numerators, no trailing zero, den > 0, lowest terms."""
+    nums, den = x._nums, x._den
+    return (
+        type(nums) is tuple
+        and all(type(c) is int for c in (*nums, den))
+        and den > 0
+        and (not nums or nums[-1] != 0)
+        and gcd(*nums, den) == 1
+    )
+
+
+def fraction_mul(f: Poly, g: Poly) -> tuple[Fraction, ...]:
+    """Coefficients of f*g by the schoolbook product over Fraction, without trailing zeros."""
+    out = [Fraction(0)] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def half_period_conjugate(record: CycleRecord) -> bool:

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynatomic.errors import DegreeGuardError
 from dynatomic.maps import (
@@ -15,9 +16,11 @@ from dynatomic.maps import (
     iterate,
     verify_product_identity,
 )
-from dynatomic.polynomials import Poly, _lift_common_denominator, _monic_scale, format_bipoly
+from dynatomic import numberfield, polynomials
+from dynatomic.numberfield import QuotientAlgebra
+from dynatomic.polynomials import Poly, _monic_scale, _scaled_lift, format_bipoly
 from dynatomic.rationals import divisors, enumerate_rationals_by_height, mobius
-from _oracles import fraction_divmod
+from _oracles import fraction_divmod, lift_common_denominator
 
 Z = Poly.identity()
 
@@ -112,15 +115,63 @@ class TestScaledDivision:
     def test_scale_of_iterates(self, d, c):
         b = c.denominator
         for m in range(1, 5):
-            h = (iterate(MapSpec(d, c), m) - Z).coeffs
-            s, big_g = _monic_scale(h)
-            assert _lift_common_denominator(h, s) == (big_g, 1)
+            h = iterate(MapSpec(d, c), m) - Z
+            s, big_g = _monic_scale(h._nums)
+            assert lift_common_denominator(h.coeffs, s) == (big_g, 1)
+            assert _scaled_lift(h._nums, h._den, s) == (big_g, 1)
             assert big_g[-1] == 1  # s^D * h(u/s) is monic in Z[u]
-            assert _lift_common_denominator(h, b)[1] == 1  # so would be the scale b
+            assert lift_common_denominator(h.coeffs, b)[1] == 1  # so would be the scale b
             # the greedy scale is b for phi - z and, at d = 2, for odd b; in
             # general it can fall below b (24 at c = -71/48, m = 2) or exceed it
             if m == 1 or (d == 2 and b % 2):
                 assert s == b
+
+
+def scaled_dividends(module, run):
+    """The dividends `module._zz_divmod` receives while run() runs."""
+    seen, divide = [], polynomials._zz_divmod
+
+    def spy(f, g):
+        seen.append(list(f))
+        return divide(f, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_zz_divmod", spy)
+        run()
+    return seen
+
+
+rationals = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.sampled_from([1, 2, 48, 77, 3**9]) | st.integers(1, 999)
+)
+
+
+class TestLeastLift:
+    """Division and `QuotientAlgebra.element` lift by the least L: the Fraction-input lift is the oracle."""
+
+    @staticmethod
+    def check(f, h):
+        s = _monic_scale(h.monic()._nums)[0]
+        want = lift_common_denominator(f.coeffs, s)[0]
+        assert scaled_dividends(polynomials, lambda: divmod(f, h)) == [want]
+        a = QuotientAlgebra(h)
+        assert scaled_dividends(numberfield, lambda: a.element(f)) == [want]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("c", PINNED_C, ids=str)
+    def test_iterates(self, d, c):
+        spec = MapSpec(d, c)
+        for m in range(1, 4):
+            h = iterate(spec, m) - Z
+            self.check(iterate(spec, m + 1) - Z, h)
+            self.check(iterate(spec, m + 1) * Fraction(5, 6), h * Fraction(-7, 9))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(rationals, min_size=1, max_size=5), st.lists(rationals, min_size=1, max_size=12))
+    def test_random(self, h, f):
+        h, f = Poly(h + [Fraction(-2, 3)]), Poly(f)
+        if f.degree() >= h.degree():
+            self.check(f, h)
 
 
 class TestDynatomicGeneric:

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from dynatomic.numberfield import (
     subfield_degree,
 )
 from dynatomic.polynomials import Poly, _monic_scale
-from _oracles import fraction_divmod, subfield_degree_sweep, trial_extract_square
+from _oracles import fraction_divmod, is_stored_form, subfield_degree_sweep, trial_extract_square
 
 Z = Poly.identity()
 CYCLO7 = Poly([1] * 7)
@@ -140,15 +141,16 @@ class TestElementReduction:
         m = Z**3 + Fraction(1, 2) * Z + Fraction(37, 48)
         seen = []
 
-        def spy(h):
-            seen.append((tuple(h), _monic_scale(h)))
+        def spy(nums):
+            seen.append((tuple(nums), _monic_scale(nums)))
             return seen[-1][1]
 
         monkeypatch.setattr(polynomials, "_monic_scale", spy)
         monkeypatch.setattr(numberfield, "_monic_scale", spy)
         divmod(Z**5, 3 * m)
         a = QuotientAlgebra(3 * m)
-        assert seen == [(m.coeffs, (12, [1332, 72, 0, 1]))] * 2
+        # both take the numerators of the monic m = (37 + 24*z + 48*z^3)/48
+        assert seen == [((37, 24, 0, 48), (12, [1332, 72, 0, 1]))] * 2
         assert a._int_modulus == (1332, 72, 0, 1)
 
         def refuse(*args):
@@ -157,6 +159,34 @@ class TestElementReduction:
         monkeypatch.setattr(Poly, "__divmod__", refuse)
         assert a.element(Z**5).representative == fraction_divmod(Z**5, m)[1]
         assert len(seen) == 2
+
+
+@st.composite
+def algebra_elements(draw):
+    """An algebra with a rational modulus of degree 1..5 and three of its elements."""
+    m, _ = draw(modulus_and_rep())
+    a = QuotientAlgebra(m)
+    small = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7)])
+    reps = st.lists(rationals | small, max_size=2 * a.degree + 2).map(Poly)
+    return a, [a.element(r) for r in draw(st.lists(reps, min_size=3, max_size=3))]
+
+
+class TestStoredForm:
+    """Every AlgElement is stored reduced, as integer numerators over one denominator in lowest terms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(algebra_elements(), st.integers(0, 4))
+    def test_operations_keep_the_stored_form(self, case, n):
+        a, (x, y, z) = case
+        results = [x, a.zero(), a.one(), a.generator(), x + y, x - y, -x, x * y, x**n,
+                   x * y + z, 2 - x, Fraction(-5, 9) * y, x + 1, x - x]
+        for e in results:
+            assert is_stored_form(e) and len(e._nums) <= a.degree, e
+            assert a.element(e.representative) == e
+            back = pickle.loads(pickle.dumps(e))
+            assert back == e and hash(back) == hash(e) and back.parent == a
+        assert (x * y).representative == (x.representative * y.representative) % a.modulus
+        assert (x + y).representative == x.representative + y.representative
 
 
 class TestApplyPhi:

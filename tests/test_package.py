@@ -48,3 +48,42 @@ def test_only_polynomials_packs_slots():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in ("struct", "to_bytes", "from_bytes")]
     assert found == []
+
+
+def test_only_the_scaled_rings_read_the_stored_form():
+    # `_nums`/`_den` are the stored form of `Poly` and `AlgElement`; everything
+    # else reads coefficients through `coeffs`, `coefficient` and the like
+    found = []
+    for path in sorted((Path(dynatomic.__file__).parent).glob("*.py")):
+        if path.name in ("polynomials.py", "numberfield.py"):
+            continue
+        found += [f"{path.name}:{node.lineno} {node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den")]
+    assert found == []
+
+
+def test_ring_operations_build_no_fraction(monkeypatch):
+    from fractions import Fraction
+
+    from dynatomic import numberfield, polynomials
+    from dynatomic.numberfield import QuotientAlgebra
+    from dynatomic.polynomials import Poly
+
+    z = Poly.identity()
+    f = Fraction(3, 4) * z**3 - Fraction(1, 6) * z + 5
+    g = z**2 * Fraction(-7, 10) + Fraction(2, 9)
+    a = QuotientAlgebra(z**3 + Fraction(1, 2) * z + Fraction(37, 48))
+    x, y = a.element(f), a.element(g) + a.generator()
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "Fraction", Counted)
+    monkeypatch.setattr(numberfield, "Fraction", Counted)
+    results = [f + g, f - g, f * g, g - f, x + y, x - y, x * y, y * x - x]
+    monkeypatch.undo()
+    assert built == [] and len(results) == 8

@@ -32,7 +32,10 @@ from dynatomic.polynomials import (
     _zz_sub,
 )
 from dynatomic.factorq import factor_over_q
-from _oracles import fraction_divmod, lazy_gf_divmod, naive_gcd, schoolbook_convolve
+from dynatomic.numberfield import AlgElement, QuotientAlgebra
+from _oracles import (
+    fraction_divmod, fraction_mul, is_stored_form, lazy_gf_divmod, naive_gcd, schoolbook_convolve,
+)
 
 Z = Poly.identity()
 
@@ -111,10 +114,39 @@ class TestPower:
     def test_left_to_right_from_the_base(self):
         for n in range(1, 65):
             log = []
-            one = _Monomial(0, log)
-            assert _power(_Monomial(1, log), n, one).k == n
+            assert _power(_Monomial(1, log), n).k == n
             assert len(log) == (n.bit_length() - 1) + (bin(n).count("1") - 1)
-        assert _power(_Monomial(1, []), 0, one) is one
+
+    def test_the_unit_is_built_for_n_zero_only(self, monkeypatch):
+        # `__pow__` answers n = 0 with `_coerce(1)` and hands n >= 1 to `_power`
+        f = Poly([Fraction(1, 3), -2, Fraction(5, 7)])
+        a = QuotientAlgebra(Z**3 + Fraction(1, 2) * Z + Fraction(37, 48))
+        x = a.generator() + Fraction(2, 5)
+        units, powered = [], []
+
+        def record(coerce):
+            def spy(*args):
+                if isinstance(args[-1], int):
+                    units.append(args[-1])
+                return coerce(*args)
+            return spy
+
+        def power_spy(base, n):
+            powered.append(n)
+            return _power(base, n)
+
+        monkeypatch.setattr(polynomials, "_power", power_spy)
+        monkeypatch.setattr(Poly, "_coerce", staticmethod(record(Poly._coerce)))
+        monkeypatch.setattr(AlgElement, "_coerce", record(AlgElement._coerce))
+        got = [(f**n, x**n) for n in range(1, 9)]
+        assert units == [] and powered == [n for n in range(1, 9) for _ in "fx"]
+        assert (f**0, x**0) == (Poly.one(), a.one())
+        assert units == [1, 1] and len(powered) == 16
+        monkeypatch.undo()
+        fn, rep = f, x.representative
+        for n in range(1, 9):
+            assert got[n - 1] == (fn, a.element(rep**n))
+            fn = fn * f
 
     def test_poly_powers(self):
         f = Poly([Fraction(1, 3), -2, Fraction(5, 7)])
@@ -198,6 +230,33 @@ class TestScaledDivision:
         else:
             with pytest.raises(NonExactDivisionError):
                 (q * g + r).exact_div(g)
+
+
+# small integer vectors cancel often: sums with trailing zeros, zero products, den = 1
+any_polys = polys | st.lists(st.integers(-3, 3) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]),
+                             max_size=5).map(Poly)
+
+
+class TestStoredForm:
+    """Every Poly is stored as integer numerators over one denominator in lowest terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=any_polys, g=any_polys, n=st.integers(0, 3))
+    @example(f=Z + Fraction(1, 2), g=-Z + Fraction(1, 2), n=0)  # the sum cancels to a constant
+    def test_operations_keep_the_stored_form(self, f, g, n):
+        results = [f + g, f - g, g - f, f * g, -f, f**n, 3 - f, Fraction(2, 3) * f, f + 1]
+        if g:
+            results += [*divmod(f, g), g.monic()]
+        for h in results:
+            assert is_stored_form(h), h
+            assert Poly(h.coeffs) == h and hash(Poly(h.coeffs)) == hash(h)
+            back = pickle.loads(pickle.dumps(h))
+            assert type(back) is Poly and (back._nums, back._den) == (h._nums, h._den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=any_polys, g=any_polys)
+    def test_product_matches_the_fraction_schoolbook(self, f, g):
+        assert (f * g).coeffs == fraction_mul(f, g)
 
 
 @st.composite
