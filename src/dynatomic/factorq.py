@@ -3,10 +3,16 @@
 Pipeline: primitive integer form -> squarefree (Yun) decomposition -> modular
 factorization (deterministic Berlekamp) -> quadratic Hensel lifting to a
 half-degree Mignotte bound -> Zassenhaus subset recombination with a
-next-to-leading coefficient gate, trailing coefficient pruning and exact
-trial division.  Output is fully exact and deterministic; irreducible
-factors are primitive integer polynomials with positive leading coefficient,
-listed by (degree, coefficients).
+next-to-leading coefficient gate, trailing coefficient pruning, a prune by
+the values at 1 and -1 and exact trial division.  Output is fully exact and
+deterministic; irreducible factors are primitive integer polynomials with
+positive leading coefficient, listed by (degree, coefficients).
+
+The prime is the one with fewest factors among the first 5 usable primes.
+Each candidate's count r = n - rank(Q - I) (Berlekamp 1967) comes from
+forward elimination alone on its Frobenius rows, and only the chosen prime
+gets a nullspace basis, so a prime with r = 1 proves f irreducible before
+any basis is built.
 
 The lift stops at p^l > 2B with B = C(k, k // 2) * (isqrt(sum a_i^2) + 1),
 k = deg f // 2.  Every split rest = g * h of a divisor of f has one side of
@@ -84,28 +90,63 @@ def _gf_is_squarefree(f: list[int], p: int) -> bool:
 def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
     """Rows are coefficient vectors of z^(p*i) mod monic f, i = 0..deg f - 1.
 
-    Row i is the packed product of row i-1 and z^p mod f with slots 2n-2 down
-    to n cleared by adding (slot k mod p) * (p - f) at slot k - n.  Slots never
-    exceed (2n - 1)(p - 1)^2.
+    Row i is the packed product of row i-1 and z^p mod f, of degree at most
+    n - 2 + len(z^p mod f), with its slots from that degree down to n cleared
+    by adding (slot k mod p) * (p - f) at slot k - n.  Slots never exceed
+    (2n - 1)(p - 1)^2.
     """
     n = len(f) - 1
     nb = _slot_bytes((2 * n - 1) * (p - 1) ** 2)
     w = 8 * nb
     mask = (1 << w) - 1
-    zp = _slot_pack(_gf_pow_mod([0, 1], p, f, p), nb)
+    zp = _gf_pow_mod([0, 1], p, f, p)
+    top = n - 2 + len(zp)
+    zp = _slot_pack(zp, nb)
     fneg = _slot_pack([(p - c) % p for c in f], nb)
     rows = [[1] + [0] * (n - 1)]
     for _ in range(1, n):
         x = _slot_pack(rows[-1], nb) * zp
-        for k in range(2 * n - 2, n - 1, -1):
+        for k in range(top, n - 1, -1):
             if c := (x >> w * k & mask) % p:
                 x += c * fneg << w * (k - n)
         rows.append([v % p for v in _slot_unpack(x, n, nb)])
     return rows
 
 
+def _rank_of_frobenius(rows: list[list[int]], p: int) -> int:
+    """Rank of M - I over F_p for the square matrix M with given rows.
+
+    Forward elimination on the packed rows of M - I (a matrix and its
+    transpose have one rank).  A row operation adds m * pivot row with m < p,
+    and only pivot rows are reduced mod p, so slots never exceed
+    n(p - 1)^2 + p.
+    """
+    n = len(rows)
+    nb = _slot_bytes(n * (p - 1) ** 2 + p)
+    w = 8 * nb
+    mask = (1 << w) - 1
+    # row i of M with slot i moved from row[i] to (row[i] - 1) mod p
+    rest = [_slot_pack(row, nb) + (((row[i] - 1) % p - row[i]) << w * i)
+            for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(n):
+        shift = w * col
+        for i, x in enumerate(rest):
+            if lead := (x >> shift & mask) % p:
+                break
+        else:
+            continue
+        prow = _slot_pack([v % p for v in _slot_unpack(rest.pop(i), n, nb)], nb)
+        neg = p - pow(lead, -1, p)
+        rank += 1
+        for r in range(i, len(rest)):  # the rows before the pivot are 0 mod p at col
+            if c := (rest[r] >> shift & mask) % p:
+                rest[r] += c * neg % p * prow
+    return rank
+
+
 def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : v * M = 0} over F_p for the square matrix with given rows.
+    """Basis of {v : v * M = v} over F_p for the square matrix M with given rows.
 
     Gauss-Jordan on the packed transpose of M - I.  A row operation adds
     (p - factor) * pivot row, and only pivot rows are reduced mod p, so slots
@@ -252,10 +293,14 @@ def _recombination_bound(f: list[int]) -> int:
 def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
     """First 5 usable primes, keep the one with fewest modular factors.
 
-    Returns None as soon as some reduction proves f irreducible over Z.
+    Each candidate is ranked by Berlekamp's count r = n - rank(Q - I) of its
+    factors, and only the chosen prime gets a nullspace basis.  Returns None
+    as soon as some reduction proves f irreducible over Z (r = 1).
     """
     lc = f[-1]
-    candidates: list[tuple[int, int, list[int], list[list[int]]]] = []
+    n = len(f) - 1
+    best: tuple[int, int, list[int], list[list[int]]] | None = None
+    tried = 0
     for p in primes():
         if lc % p == 0:
             continue
@@ -263,14 +308,22 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
         if not _gf_is_squarefree(fp, p):
             continue
         fm = _gf_monic(fp, p)
-        basis = _nullspace_dimension_and_basis(_frobenius_rows(fm, p), p)
-        if len(basis) == 1:
+        rows = _frobenius_rows(fm, p)
+        r = n - _rank_of_frobenius(rows, p)
+        if r == 1:
             return None
-        candidates.append((len(basis), p, fm, basis))
-        if len(candidates) == 5:
+        if best is None or r < best[0]:  # primes ascend, so ties keep the smaller p
+            best = (r, p, fm, rows)
+        tried += 1
+        if tried == 5:
             break
-    _, p, fm, basis = min(candidates, key=lambda item: (item[0], item[1]))
-    return p, _berlekamp_split(fm, p, basis)
+    _, p, fm, rows = best
+    return p, _berlekamp_split(fm, p, _nullspace_dimension_and_basis(rows, p))
+
+
+def _at_one_and_minus_one(g: list[int]) -> tuple[int, int]:
+    """(g(1), g(-1))."""
+    return sum(g), sum(g[::2]) - sum(g[1::2])
 
 
 def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
@@ -286,10 +339,12 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     X is skipped when |sym(b * sum_X F_i[deg F_i - 1] mod p^l)| > B, the
     next-to-leading coefficient of lc(h) * g, or when q = sym(b * prod_X F_i(0)
     mod p^l) does not divide b * rest(0), since q = lc(h) * g(0) and
-    b * rest(0) = q * lc(g) * h(0).  Otherwise X's candidate is tried by exact
-    division.  When it divides, the side of S goes to the factors: every
-    smaller subset failed, so it is irreducible.  The other side becomes rest
-    and the indices drop S.
+    b * rest(0) = q * lc(g) * h(0).  X's candidate c, the primitive part of
+    sym(b * prod_X F_i mod p^l), is skipped too unless c(a) divides rest(a)
+    for a = 1 and a = -1 (0 divides only 0), as a divisor of rest in Z[x]
+    must.  Otherwise c is tried by exact division.  When it divides, the side
+    of S goes to the factors: every smaller subset failed, so it is
+    irreducible.  The other side becomes rest and the indices drop S.
     """
     selected = _select_prime(f)
     if selected is None:
@@ -312,6 +367,7 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         found = False
         b = rest[-1]
         btc = b * rest[0]
+        values = _at_one_and_minus_one(rest)
         for subset in combinations(indices, s):
             complement = 2 * sum(degrees[i] for i in subset) > len(rest) - 1
             side = [i for i in indices if i not in subset] if complement else subset
@@ -328,6 +384,8 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
             for i in side:
                 cand = _convolve(cand, lifted[i])
             cand = _zz_primitive(_trunc_sym(cand, pl))
+            if any(v % u if u else v for v, u in zip(values, _at_one_and_minus_one(cand))):
+                continue
             divided = _zz_divmod(rest, cand)
             if divided is not None and not divided[1]:
                 other = _zz_primitive(divided[0])
@@ -356,12 +414,6 @@ class Factorization:
 
     content: Fraction
     factors: tuple[tuple[Poly, int], ...]
-
-    def expand(self) -> Poly:
-        out = Poly.constant(self.content)
-        for fac, mult in self.factors:
-            out = out * fac**mult
-        return out
 
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1

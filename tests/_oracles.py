@@ -34,6 +34,10 @@ representative a + b*z to (a - b*p) - b*z and takes the class of that.
 stored integer numerators, and `fraction_mul` is the schoolbook product over
 Fraction that `Poly.__mul__` replaced with one integer convolution.
 `is_stored_form` spells out the stored form of `Poly` and `AlgElement`.
+`gated_factor_squarefree` is the recombination as `factorq` ran it before it
+pruned candidates by their values at 1 and -1, so every gated candidate is
+tried by division, and `expand` multiplies a `Factorization` back out; no
+code in the package needs that product.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ from dynatomic.errors import (
     ParentMismatchError,
     PolynomialZeroDivisionError,
 )
-from dynatomic.factorq import _gf_pow_mod, _hensel_lift, _select_prime
+from dynatomic.factorq import (
+    Factorization, _gf_pow_mod, _hensel_lift, _recombination_bound, _select_prime,
+)
 from dynatomic.numberfield import AlgElement, minimal_polynomial
 from dynatomic.polynomials import (
     Poly, _convolve, _gf_divmod, _gf_mul, _trunc_sym, _zz_divmod, _zz_primitive,
@@ -308,7 +314,7 @@ def list_frobenius_rows(f: list[int], p: int) -> list[list[int]]:
 
 
 def list_nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : v * M = 0} over F_p for the square matrix with given rows."""
+    """Basis of {v : v * M = v} over F_p for the square matrix M with given rows."""
     n = len(rows)
     # transpose of (M - I); right-nullspace of it equals the left-nullspace of M - I
     a = [[(rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
@@ -458,3 +464,72 @@ def full_bound_factor_squarefree(f: list[int]) -> list[list[int]]:
     if len(rest) - 1 >= 1:
         factors.append(rest)
     return factors
+
+
+def gated_factor_squarefree(f: list[int]) -> list[list[int]]:
+    """Irreducible factors of a primitive squarefree integer polynomial, lc > 0.
+
+    The recombination of `factorq._zz_factor_squarefree` without its prune by
+    the values at 1 and -1: lifts to p^l > 2 * `_recombination_bound`(f),
+    rebuilds the side of each subset of degree at most deg(rest) / 2 and
+    tries by exact division every side that passes the next-to-leading
+    coefficient gate and the trailing-coefficient prune.
+    """
+    selected = _select_prime(f)
+    if selected is None:
+        return [list(f)]
+    p, modular = selected
+    bound = _recombination_bound(f)
+    l = 1
+    pl = p
+    while pl <= 2 * bound:
+        pl *= p
+        l += 1
+    lifted = _hensel_lift(p, f, modular, l)
+    degrees = [len(u) - 1 for u in lifted]
+
+    factors: list[list[int]] = []
+    rest = list(f)
+    indices = list(range(len(lifted)))
+    s = 1
+    while 2 * s <= len(indices):
+        found = False
+        b = rest[-1]
+        btc = b * rest[0]
+        for subset in combinations(indices, s):
+            complement = 2 * sum(degrees[i] for i in subset) > len(rest) - 1
+            side = [i for i in indices if i not in subset] if complement else subset
+            t = b * sum(lifted[i][-2] for i in side) % pl
+            if min(t, pl - t) > bound:
+                continue
+            q = b
+            for i in side:
+                q = q * lifted[i][0] % pl
+            q = q - pl if q > pl // 2 else q
+            if q and btc % q:
+                continue
+            cand = [b]
+            for i in side:
+                cand = _convolve(cand, lifted[i])
+            cand = _zz_primitive(_trunc_sym(cand, pl))
+            divided = _zz_divmod(rest, cand)
+            if divided is not None and not divided[1]:
+                other = _zz_primitive(divided[0])
+                factors.append(other if complement else cand)
+                rest = cand if complement else other
+                indices = [i for i in indices if i not in subset]
+                found = True
+                break
+        if not found:
+            s += 1
+    if len(rest) - 1 >= 1:
+        factors.append(rest)
+    return factors
+
+
+def expand(fac: Factorization) -> Poly:
+    """content * prod(factor^multiplicity), the polynomial that was factored."""
+    out = Poly.constant(fac.content)
+    for g, mult in fac.factors:
+        out = out * g**mult
+    return out

@@ -4,19 +4,20 @@ from itertools import combinations
 from math import ceil, log2
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import _oracles
 from dynatomic import factorq
 from dynatomic.factorq import (
     Factorization, _frobenius_rows, _gf_pow_mod, _nullspace_dimension_and_basis,
-    _recombination_bound, _select_prime, _zz_factor_squarefree, factor_over_q,
-    is_irreducible, rational_roots,
+    _rank_of_frobenius, _recombination_bound, _select_prime, _zz_factor_squarefree,
+    factor_over_q, is_irreducible, rational_roots,
 )
 from dynatomic.maps import MapSpec, dynatomic_poly
 from dynatomic.polynomials import _STRUCT_CODES, Poly, _convolve, _slot_bytes, _zz_divmod
 from _oracles import (
-    brute_force_irreducible, clustering_factor_candidates, full_bound_factor_squarefree,
-    list_frobenius_rows, list_nullspace_basis, naive_gcd,
+    brute_force_irreducible, clustering_factor_candidates, expand, full_bound_factor_squarefree,
+    gated_factor_squarefree, list_frobenius_rows, list_nullspace_basis, naive_gcd,
 )
 
 Z = Poly.identity()
@@ -52,7 +53,7 @@ class TestFactorExamples:
         f = dynatomic_poly(MapSpec(2, Fraction(-2)), 3)
         fac = factor_over_q(f)
         assert len(fac.factors) > 1
-        assert fac.expand() == f
+        assert expand(fac) == f
         # cross-check the found factors against the clustering oracle
         oracle_factors = {p for p in clustering_factor_candidates(f) if p.degree() == 3}
         got = {p.monic() for p, _ in fac.factors}
@@ -69,7 +70,7 @@ class TestFactorExamples:
     def test_content_and_multiplicity(self):
         f = (2 * Z + 1) ** 2 * (Z - 3) * Fraction(5, 7)
         fac = factor_over_q(f)
-        assert fac.expand() == f
+        assert expand(fac) == f
         assert dict((p, m) for p, m in fac.factors) == {2 * Z + 1: 2, Z - 3: 1}
 
     def test_rejects_constants_and_zero(self):
@@ -90,7 +91,7 @@ class TestFactorProperties:
                 planted.append(p)
                 f = f * p
             fac = factor_over_q(f)
-            assert fac.expand() == f
+            assert expand(fac) == f
 
     def test_output_factors_irreducible_by_oracle(self):
         rng = random.Random(99)
@@ -132,7 +133,7 @@ class TestFactorProperties:
         # quadratic factors with denominator 48, same shape as the 6-cycle data
         f = (Z**2 + 2 * Z + Fraction(37, 48)) * (Z**2 + Z + Fraction(1, 48))
         fac = factor_over_q(f)
-        assert fac.expand() == f
+        assert expand(fac) == f
         assert [p.degree() for p, _ in fac.factors] == [2, 2]
 
     def test_splits_mod_every_prime_but_irreducible(self):
@@ -145,14 +146,14 @@ class TestFactorProperties:
     def test_recombination_of_hard_quartics(self):
         f = (Z**4 - 10 * Z**2 + 1) * (Z**4 - 2)
         fac = factor_over_q(f)
-        assert fac.expand() == f
+        assert expand(fac) == f
         assert sorted(p.degree() for p, _ in fac.factors) == [4, 4]
 
     def test_nonmonic_factors(self):
         # cubic has no rational roots (checked +-1, +-1/3), quadratic has disc < 0
         f = (3 * Z**3 + 2 * Z + 1) * (2 * Z**2 + 7 * Z + 11)
         fac = factor_over_q(f)
-        assert fac.expand() == f
+        assert expand(fac) == f
         assert sorted(p.degree() for p, _ in fac.factors) == [2, 3]
 
     def test_recombination_with_leading_coefficient_and_z_factor(self):
@@ -160,7 +161,7 @@ class TestFactorProperties:
         # is found; pruning on q | rest(0) rather than q | lc * rest(0) rejects 2z + 3
         f = Z * (2 * Z + 3) * (3 * Z**2 + 5) * (16 * Z**4 - 40 * Z**2 + 1)
         fac = factor_over_q(f)
-        assert fac.expand() == f
+        assert expand(fac) == f
         assert [p.degree() for p, _ in fac.factors] == [1, 1, 2, 4]
 
 
@@ -192,6 +193,14 @@ def _products(draw):
     return Poly(f)
 
 
+def _divisions_tried(module, run, part):
+    """Sorted factors of part by run, and how many trial divisions module made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_zz_divmod", lambda f, g: calls.append(g) or _zz_divmod(f, g))
+        return sorted(run(part)), len(calls)
+
+
 class TestRecombination:
     """Zassenhaus on the half-degree bound, the complement rule and the d-1 gate."""
 
@@ -219,21 +228,37 @@ class TestRecombination:
             for part in _squarefree_parts(Poly(f)):
                 assert sorted(_zz_factor_squarefree(part)) == sorted(full_bound_factor_squarefree(part))
 
-    def test_gate_rejects_before_trial_division(self, monkeypatch):
+    def test_gate_rejects_before_trial_division(self):
         # Phi_6(z, 0) is a product of cyclotomic polynomials, so rest(0) = 1 and
         # the trailing-coefficient prune passes every subset; only the gate can
         # spare trial divisions that the ungated loop makes
-        import dynatomic.factorq as factorq
-        import _oracles
-
         (part,) = _squarefree_parts(dynatomic_poly(MapSpec(2, Fraction(0)), 6))
-        tried = {}
-        for module, run in ((factorq, _zz_factor_squarefree), (_oracles, full_bound_factor_squarefree)):
-            calls = []
-            monkeypatch.setattr(module, "_zz_divmod", lambda f, g: calls.append(g) or _zz_divmod(f, g))
-            tried[module] = (sorted(run(part)), len(calls))
-        assert tried[factorq][0] == tried[_oracles][0]
-        assert tried[factorq][1] < tried[_oracles][1]
+        got, tried = _divisions_tried(factorq, _zz_factor_squarefree, part)
+        want, oracle_tried = _divisions_tried(_oracles, full_bound_factor_squarefree, part)
+        assert got == want
+        assert tried < oracle_tried
+
+    def test_values_at_one_and_minus_one_prune_before_trial_division(self):
+        # most gated candidates of Phi_6(z, 0) that do not divide rest take a
+        # value at 1 or -1 that does not divide rest's (47 divisions -> 8)
+        (part,) = _squarefree_parts(dynatomic_poly(MapSpec(2, Fraction(0)), 6))
+        got, tried = _divisions_tried(factorq, _zz_factor_squarefree, part)
+        want, oracle_tried = _divisions_tried(_oracles, gated_factor_squarefree, part)
+        assert got == want
+        assert tried < oracle_tried
+
+    @settings(max_examples=60, deadline=None)
+    @given(_products(), st.sampled_from([[-1, 1], [1, 1], [-1, 0, 1]]))
+    @example(Poly(_convolve(*SPLIT_QUARTICS)), [-1, 0, 1])
+    def test_prune_at_one_and_minus_one_keeps_every_factor(self, f, units):
+        # a factor z - 1 or z + 1 makes rest(1) or rest(-1) zero, and each
+        # candidate holding it is zero there too: both pass, as 0 divides 0,
+        # and no true factor is ever pruned, so the prune is only necessary
+        for part in _squarefree_parts(f * Poly(units)):
+            got, tried = _divisions_tried(factorq, _zz_factor_squarefree, part)
+            want, oracle_tried = _divisions_tried(_oracles, gated_factor_squarefree, part)
+            assert got == want
+            assert tried <= oracle_tried
 
     def test_bound_covers_every_half_degree_split(self):
         rng = random.Random(23)
@@ -439,6 +464,13 @@ def _last_n(bound, bits):
     return n
 
 
+def _check_elimination(rows, p):
+    """Both elimination kernels against the list elimination."""
+    basis = list_nullspace_basis(rows, p)
+    assert _nullspace_dimension_and_basis(rows, p) == basis
+    assert _rank_of_frobenius(rows, p) == len(rows) - len(basis)
+
+
 def _matrix(kind, n, p, rng):
     if kind == "zero":
         return [[0] * n for _ in range(n)]
@@ -471,7 +503,7 @@ class TestPackedBerlekamp:
     )
     def test_nullspace_matches_list_elimination(self, p, n, kind, seed):
         rows = _matrix(kind, n, p, random.Random(seed))
-        assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
+        _check_elimination(rows, p)
 
     def test_large_sizes_match_list_loops(self):
         # hypothesis favours small n; this covers n in [40, 60] for every p
@@ -480,7 +512,7 @@ class TestPackedBerlekamp:
         for i, p in enumerate(PACKED_PRIMES * 3):
             n = rng.randint(40, 60)
             rows = _matrix(kinds[i % len(kinds)], n, p, rng)
-            assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
+            _check_elimination(rows, p)
             f = [rng.randrange(p) for _ in range(n)] + [1]
             assert _frobenius_rows(f, p) == list_frobenius_rows(f, p)
 
@@ -492,7 +524,7 @@ class TestPackedBerlekamp:
         for size, nb in ((n, 8), (n + 1, 9)):
             assert _slot_bytes(bound(size)) == nb
             rows = _matrix(kind, size, P29, rng)
-            assert _nullspace_dimension_and_basis(rows, P29) == list_nullspace_basis(rows, P29)
+            _check_elimination(rows, P29)
 
     def test_basis_is_in_the_left_kernel(self):
         rng = random.Random(3)
@@ -531,7 +563,7 @@ class TestPackedBerlekamp:
         for size, want in ((n, code), (n + 1, NEXT_SLOT[code])):
             assert _STRUCT_CODES[_slot_bytes(size * (p - 1) ** 2 + p)] == want
             rows = _matrix(kind, size, p, rng)
-            assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
+            _check_elimination(rows, p)
 
     @pytest.mark.parametrize("bits, code, p", SLOT_EDGES)
     def test_frobenius_rows_on_both_sides_of_a_slot_width(self, bits, code, p):
@@ -548,7 +580,7 @@ class TestPackedBerlekamp:
         rng = random.Random(n)
         for rows in ([[1] * n for _ in range(n)], _matrix("all-max", n, p, rng),
                      _matrix("random", n, p, rng)):
-            assert _nullspace_dimension_and_basis(rows, p) == list_nullspace_basis(rows, p)
+            _check_elimination(rows, p)
 
     @pytest.mark.parametrize("n, p", [(3, 2**31 - 1), (17, P29)])
     def test_frobenius_rows_with_bounds_past_63_bits(self, n, p):
@@ -571,6 +603,9 @@ class TestPackedBerlekamp:
             _nullspace_dimension_and_basis(rows, p)
             assert asked == [n * (p - 1) ** 2 + p]
             asked.clear()
+            _rank_of_frobenius(rows, p)
+            assert asked == [n * (p - 1) ** 2 + p]
+            asked.clear()
 
 
 def _select_on_phi(c, n):
@@ -581,15 +616,27 @@ def _select_on_phi(c, n):
     return None if selected is None else (selected[0], sorted(len(u) - 1 for u in selected[1]))
 
 
+PINNED = [
+    ("-71/48", 6, (17, [1] * 6 + [24, 24])),
+    ("-2", 6, (11, [6] * 5 + [12, 12])),
+    ("1/3", 6, None),  # one prime proves Phi_6 irreducible
+    ("1/2", 7, (13, [28, 98])),
+    ("-1/3", 7, (11, [63, 63])),
+]
+
+
 class TestSelectPrimePinned:
     """Chosen prime and modular factor degrees, recorded before the rows were packed."""
 
-    @pytest.mark.parametrize("c, n, expected", [
-        ("-71/48", 6, (17, [1] * 6 + [24, 24])),
-        ("-2", 6, (11, [6] * 5 + [12, 12])),
-        ("1/3", 6, None),  # one prime proves Phi_6 irreducible
-        ("1/2", 7, (13, [28, 98])),
-        ("-1/3", 7, (11, [63, 63])),
-    ])
+    @pytest.mark.parametrize("c, n, expected", PINNED)
     def test_pinned_cells(self, c, n, expected):
         assert _select_on_phi(c, n) == expected
+
+    @pytest.mark.parametrize("c, n, expected", PINNED)
+    def test_one_basis_for_the_chosen_prime_only(self, c, n, expected, monkeypatch):
+        # candidates are ranked by r alone; a prime proving irreducibility needs no basis
+        asked = []
+        spy = lambda rows, p: asked.append(p) or _nullspace_dimension_and_basis(rows, p)
+        monkeypatch.setattr(factorq, "_nullspace_dimension_and_basis", spy)
+        assert _select_on_phi(c, n) == expected
+        assert asked == ([] if expected is None else [expected[0]])
