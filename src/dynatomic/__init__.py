@@ -16,7 +16,7 @@ from .rationals import (
     parse_rational,
 )
 from .polynomials import BiPoly, Poly, format_bipoly, format_poly, parse_poly
-from .factorq import Factorization, factor_over_q, is_irreducible, rational_roots
+from .factorq import Factorization, factor_over_q
 from .numberfield import (
     AlgElement,
     QuadraticElement,
@@ -31,15 +31,12 @@ from .maps import (
     dynatomic_degree,
     dynatomic_poly,
     dynatomic_poly_generic,
-    iterate,
     verify_product_identity,
 )
 from .cycles import (
     CycleRecord,
     cycles_from_dynatomic,
-    orbit_in_algebra,
     quadratic_cycles,
-    rational_cycles,
 )
 from .property_a import (
     PointVerdict,
@@ -78,18 +75,13 @@ __all__ = [
     "format_bipoly",
     "format_poly",
     "format_rational",
-    "is_irreducible",
     "is_mersenne_prime_exponent",
-    "iterate",
     "minimal_polynomial",
     "mobius",
     "naive_height",
-    "orbit_in_algebra",
     "parse_poly",
     "parse_rational",
     "quadratic_cycles",
-    "rational_cycles",
-    "rational_roots",
     "subfield_degree",
     "trace_test",
     "verify_product_identity",

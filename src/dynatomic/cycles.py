@@ -101,13 +101,13 @@ class CycleRecord:
 
 
 def _orbit_of_generator(
-    algebra: QuotientAlgebra, spec: MapSpec, max_steps: int
+    algebra: QuotientAlgebra, spec: MapSpec, n: int
 ) -> tuple[list[AlgElement], int]:
     escape = abs(spec.c) + 1  # rational points beyond this grow forever
     start = algebra.generator()
     orbit = [start]
     x = start
-    for step in range(1, max_steps + 1):
+    for step in range(1, n + 1):
         if x.is_rational() and abs(x.as_rational()) > escape:
             raise NonPeriodicError(
                 f"value {x.as_rational()} escapes; the root is not periodic"
@@ -117,16 +117,14 @@ def _orbit_of_generator(
             return orbit, step
         orbit.append(x)
     raise NonPeriodicError(
-        f"no return to start within {max_steps} steps; "
+        f"no return to start within {n} steps; "
         "factor roots are not periodic under this map"
     )
 
 
-def _build_record(
-    factor: Poly, multiplicity: int, spec: MapSpec, n_requested: int, max_steps: int
-) -> CycleRecord:
+def _build_record(factor: Poly, multiplicity: int, spec: MapSpec, n_requested: int) -> CycleRecord:
     algebra = QuotientAlgebra(factor)
-    orbit, period = _orbit_of_generator(algebra, spec, max_steps)
+    orbit, period = _orbit_of_generator(algebra, spec, n_requested)
     if len(set(orbit)) != len(orbit):
         raise NonPeriodicError("orbit revisited an element before returning to start")
     return CycleRecord(
@@ -140,17 +138,6 @@ def _build_record(
         trace=sum(orbit[1:], orbit[0]),
         merged_factors=(algebra.modulus,),
     )
-
-
-def orbit_in_algebra(factor: Poly, spec: MapSpec, max_steps: int = 100) -> CycleRecord:
-    """Orbit of the class of z in Q[z]/(factor) under z -> z^d + c.
-
-    The factor must be irreducible with periodic roots (callers obtain it
-    from a dynatomic factorization); NonPeriodicError signals a misuse.
-    """
-    record = _build_record(factor, 1, spec, 0, max_steps)
-    # standalone use: requested period is whatever the orbit shows
-    return replace(record, n_requested=record.exact_period)
 
 
 def _merge_records(records: list[CycleRecord]) -> list[CycleRecord]:
@@ -201,20 +188,8 @@ def cycles_from_dynatomic(spec: MapSpec, n: int) -> list[CycleRecord]:
         raise ValueError(f"period must be >= 1, got {n}")
     phi_n = dynatomic_poly(spec, n)
     factorization = factor_over_q(phi_n)
-    records = [
-        _build_record(factor, mult, spec, n, max_steps=n)
-        for factor, mult in factorization.factors
-    ]
+    records = [_build_record(factor, mult, spec, n) for factor, mult in factorization.factors]
     return _merge_records(records)
-
-
-def rational_cycles(spec: MapSpec, n: int) -> list[CycleRecord]:
-    """Cycles of exact period n whose points are rational."""
-    return [
-        rec
-        for rec in cycles_from_dynatomic(spec, n)
-        if rec.field_degree == 1 and rec.exact_period == n
-    ]
 
 
 def quadratic_cycles(spec: MapSpec, n: int) -> list[CycleRecord]:

@@ -6,7 +6,10 @@ half-degree Mignotte bound -> Zassenhaus subset recombination with a
 next-to-leading coefficient gate, trailing coefficient pruning, a prune by
 the values at 1 and -1 and exact trial division.  Output is fully exact and
 deterministic; irreducible factors are primitive integer polynomials with
-positive leading coefficient, listed by (degree, coefficients).
+positive leading coefficient, listed by (degree, coefficients).  Factors stay
+integer coefficient lists from the squarefree parts on, and the content comes
+from the integer leading coefficients; each factor becomes a `Poly` once,
+when the `Factorization` is built.
 
 The prime is the one with fewest factors among the first 5 usable primes.
 Each candidate's count r = n - rank(Q - I) (Berlekamp 1967) comes from
@@ -418,16 +421,6 @@ class Factorization:
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
-    def factor_degrees(self) -> list[int]:
-        out: list[int] = []
-        for fac, mult in self.factors:
-            out.extend([fac.degree()] * mult)
-        return sorted(out)
-
-
-def _canonical_key(fac: Poly) -> tuple:
-    return (fac.degree(), tuple(reversed(fac.coeffs)))
-
 
 def factor_over_q(f: Poly) -> Factorization:
     """Factor a nonconstant rational polynomial into irreducibles over Q."""
@@ -435,33 +428,15 @@ def factor_over_q(f: Poly) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree() < 1:
         raise ValueError("cannot factor a constant polynomial")
-    content = f.leading_coefficient()
-    collected: list[tuple[Poly, int]] = []
+    nums, den = f.as_integer_ratio()
+    lc = 1  # prod lc(part)^mult, so that nums[-1] / (den * lc) is the content
+    collected: list[tuple[list[int], int]] = []
     for part, mult in f.squarefree_decomposition():
-        content /= part.leading_coefficient() ** mult
-        for fac in _zz_factor_squarefree([c.numerator for c in part.coeffs]):
-            collected.append((Poly(fac), mult))
-    collected.sort(key=lambda item: _canonical_key(item[0]))
-    return Factorization(content=Fraction(content), factors=tuple(collected))
-
-
-def is_irreducible(f: Poly) -> bool:
-    """True iff f is irreducible over Q (single factor, multiplicity 1)."""
-    if f.is_zero() or f.degree() < 1:
-        raise ValueError("irreducibility is about nonconstant polynomials")
-    return factor_over_q(f).is_irreducible()
-
-
-def rational_roots(f: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, ascending; [] if none."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has every root")
-    if f.degree() < 1:
-        return []
-    roots = []
-    for fac, mult in factor_over_q(f).factors:
-        if fac.degree() == 1:
-            b, a = fac.coeffs
-            roots.append((Fraction(-b, a), mult))
-    roots.sort()
-    return roots
+        ints = list(part.as_integer_ratio()[0])  # parts are primitive integer polynomials
+        lc *= ints[-1] ** mult
+        collected += [(fac, mult) for fac in _zz_factor_squarefree(ints)]
+    collected.sort(key=lambda item: (len(item[0]), item[0][::-1]))
+    return Factorization(
+        content=Fraction(nums[-1], den * lc),
+        factors=tuple((Poly(fac), mult) for fac, mult in collected),
+    )

@@ -61,13 +61,6 @@ def _mobius_quotient(chain: list, n: int):
     return numerator.exact_div(reduce(mul, factors[-1])) if factors[-1] else numerator
 
 
-def iterate(spec: MapSpec, n: int) -> Poly:
-    """The n-th iterate as a polynomial of degree d^n; the 0-th is z."""
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
-    return _chain(Poly.identity(), Poly.constant(spec.c), spec.d, n)[n]
-
-
 def dynatomic_degree(d: int, n: int) -> int:
     """Degree of the period-n dynatomic polynomial: sum mu(n/m) d^m over m | n."""
     if d < 2:

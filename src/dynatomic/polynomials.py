@@ -314,6 +314,10 @@ class Poly(_Scaled):
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self._den) for c in self._nums)
 
+    def as_integer_ratio(self) -> tuple[tuple[int, ...], int]:
+        """(numerators by power, denominator) in lowest terms, as `Fraction.as_integer_ratio`."""
+        return self._nums, self._den
+
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self._nums) - 1
@@ -727,10 +731,6 @@ class BiPoly(_Dense):
         if any(not r.is_zero() for r in rem):
             raise NonExactDivisionError("nonzero remainder in bivariate division")
         return BiPoly(quot)
-
-    def evaluate_c(self, c_value: Fraction | int) -> Poly:
-        """Specialize the parameter c, leaving a univariate polynomial in z."""
-        return Poly([p(c_value) for p in self.coeffs])
 
 
 # -- canonical text form ---------------------------------------------------

@@ -37,7 +37,15 @@ Fraction that `Poly.__mul__` replaced with one integer convolution.
 `gated_factor_squarefree` is the recombination as `factorq` ran it before it
 pruned candidates by their values at 1 and -1, so every gated candidate is
 tried by division, and `expand` multiplies a `Factorization` back out; no
-code in the package needs that product.
+code in the package needs that product.  The package needs none of the
+three references that left it as `maps.iterate`, `BiPoly.evaluate_c` and
+`cycles.orbit_in_algebra` either: `iterate` runs h = h^d + c from h = z
+by `Poly` powers, not through the chain `maps._chain` builds Phi_N from,
+`evaluate_c` specializes each coefficient in c as a sum of powers of c
+rather than by Horner's rule, and `orbit_record` walks the class of z in
+Q[z]/(factor) until it returns, within 100 steps as `orbit_in_algebra`
+did, and takes the period it finds; unlike `cycles._build_record` it has
+no escape guard and is asked for no period.
 """
 
 from __future__ import annotations
@@ -60,9 +68,10 @@ from dynatomic.errors import (
 from dynatomic.factorq import (
     Factorization, _gf_pow_mod, _hensel_lift, _recombination_bound, _select_prime,
 )
-from dynatomic.numberfield import AlgElement, minimal_polynomial
+from dynatomic.maps import MapSpec
+from dynatomic.numberfield import AlgElement, QuotientAlgebra, minimal_polynomial
 from dynatomic.polynomials import (
-    Poly, _convolve, _gf_divmod, _gf_mul, _trunc_sym, _zz_divmod, _zz_primitive,
+    BiPoly, Poly, _convolve, _gf_divmod, _gf_mul, _trunc_sym, _zz_divmod, _zz_primitive,
 )
 from dynatomic.rationals import smallest_prime_factor
 
@@ -533,3 +542,46 @@ def expand(fac: Factorization) -> Poly:
     for g, mult in fac.factors:
         out = out * g**mult
     return out
+
+
+def iterate(spec: MapSpec, n: int) -> Poly:
+    """The n-th iterate of z -> z^d + c as a polynomial of degree d^n; the 0-th is z."""
+    if n < 0:
+        raise ValueError(f"iterate count must be >= 0, got {n}")
+    h = Poly.identity()
+    for _ in range(n):
+        h = h**spec.d + spec.c
+    return h
+
+
+def evaluate_c(f: BiPoly, c: Fraction) -> Poly:
+    """f(z, c) at a rational c: each coefficient sum a_i c^i, a polynomial in z."""
+    return Poly([sum(a * c**i for i, a in enumerate(g.coeffs)) for g in f.coeffs])
+
+
+def orbit_record(factor: Poly, spec: MapSpec) -> CycleRecord:
+    """The unmerged record of an irreducible factor whose roots have period at most 100.
+
+    The class of z in Q[z]/(factor) is raised to the d-th power and shifted by
+    c until it returns to z; the period asked for is the one found.
+    """
+    algebra = QuotientAlgebra(factor)
+    orbit = [algebra.generator()]
+    for _ in range(100):
+        x = orbit[-1] ** spec.d + spec.c
+        if x == orbit[0]:
+            break
+        orbit.append(x)
+    else:
+        raise AssertionError("no return to z within 100 steps")
+    return CycleRecord(
+        spec=spec,
+        n_requested=len(orbit),
+        factor=algebra.modulus,
+        multiplicity=1,
+        field_degree=algebra.degree,
+        exact_period=len(orbit),
+        orbit=tuple(orbit),
+        trace=sum(orbit[1:], orbit[0]),
+        merged_factors=(algebra.modulus,),
+    )

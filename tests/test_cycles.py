@@ -2,19 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from dynatomic.cycles import (
-    CycleRecord,
-    cycles_from_dynatomic,
-    orbit_in_algebra,
-    quadratic_cycles,
-    rational_cycles,
-)
+from dynatomic.cycles import CycleRecord, _build_record, cycles_from_dynatomic, quadratic_cycles
 from dynatomic.errors import NonPeriodicError
 from dynatomic.maps import MapSpec, dynatomic_degree
 from dynatomic.numberfield import QuadraticElement, apply_phi
 from dynatomic.polynomials import Poly
 from dynatomic.rationals import enumerate_rationals_by_height
-from _oracles import symmetric_functions
+from _oracles import orbit_record, symmetric_functions
 
 Z = Poly.identity()
 CYCLO7 = Poly([1] * 7)
@@ -35,7 +29,8 @@ def assert_orbit_invariants(rec: CycleRecord, spec: MapSpec):
 class TestOrbitInAlgebra:
     def test_quadratic_two_cycle(self):
         spec = MapSpec(2, Fraction(1))
-        rec = orbit_in_algebra(Z**2 + Z + 2, spec)
+        rec = _build_record(Z**2 + Z + 2, 1, spec, 2)
+        assert rec == orbit_record(Z**2 + Z + 2, spec)
         assert rec.exact_period == 2
         assert [el.representative for el in rec.orbit] == [Z, -Z - 1]
         e1, e2 = symmetric_functions(rec.orbit)
@@ -45,20 +40,21 @@ class TestOrbitInAlgebra:
 
     def test_cyclotomic_three_cycle(self):
         spec = MapSpec(2, Fraction(0))
-        rec = orbit_in_algebra(CYCLO7, spec)
+        rec = _build_record(CYCLO7, 1, spec, 3)
+        assert rec == orbit_record(CYCLO7, spec)
         assert rec.exact_period == 3
         assert [el.representative for el in rec.orbit] == [Z, Z**2, Z**4]
         assert_orbit_invariants(rec, spec)
 
     def test_fixed_point(self):
-        rec = orbit_in_algebra(Z + Fraction(1, 2), MapSpec(2, Fraction(-3, 4)))
+        rec = _build_record(Z + Fraction(1, 2), 1, MapSpec(2, Fraction(-3, 4)), 1)
         assert rec.exact_period == 1
         assert rec.orbit[0].as_rational() == Fraction(-1, 2)
 
     def test_non_periodic_root_raises(self):
         # 5 escapes under z^2; the escape guard fires before values blow up
         with pytest.raises(NonPeriodicError):
-            orbit_in_algebra(Z - 5, MapSpec(2, Fraction(0)))
+            _build_record(Z - 5, 1, MapSpec(2, Fraction(0)), 100)
 
     def test_two_fixed_points_stay_separate(self):
         spec = MapSpec(2, Fraction(0))
@@ -117,6 +113,15 @@ class TestCyclesFromDynatomic:
             for n in (2, 3, 4):
                 for rec in cycles_from_dynatomic(MapSpec(2, c), n):
                     assert n % rec.exact_period == 0
+
+
+def rational_cycles(spec: MapSpec, n: int) -> list[CycleRecord]:
+    """The records of exact period n whose points are rational."""
+    return [
+        rec
+        for rec in cycles_from_dynatomic(spec, n)
+        if rec.field_degree == 1 and rec.exact_period == n
+    ]
 
 
 class TestRationalCycles:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _oracles
-from dynatomic import factorq
+from dynatomic import factorq, polynomials
 from dynatomic.factorq import (
     Factorization, _frobenius_rows, _gf_pow_mod, _nullspace_dimension_and_basis,
     _rank_of_frobenius, _recombination_bound, _select_prime, _zz_factor_squarefree,
-    factor_over_q, is_irreducible, rational_roots,
+    factor_over_q,
 )
 from dynatomic.maps import MapSpec, dynatomic_poly
 from dynatomic.polynomials import _STRUCT_CODES, Poly, _convolve, _slot_bytes, _zz_divmod
@@ -65,7 +65,7 @@ class TestFactorExamples:
 
     def test_fourth_dynatomic_at_zero_reducible(self):
         f = dynatomic_poly(MapSpec(2, Fraction(0)), 4)
-        assert not is_irreducible(f)
+        assert not factor_over_q(f).is_irreducible()
 
     def test_content_and_multiplicity(self):
         f = (2 * Z + 1) ** 2 * (Z - 3) * Fraction(5, 7)
@@ -140,7 +140,7 @@ class TestFactorProperties:
         # minimal polynomial of sqrt(2) + sqrt(3): reducible mod every prime,
         # so the recombination search actually has to work
         f = Z**4 - 10 * Z**2 + 1
-        assert is_irreducible(f)
+        assert factor_over_q(f).is_irreducible()
         assert brute_force_irreducible(f)
 
     def test_recombination_of_hard_quartics(self):
@@ -300,53 +300,28 @@ class TestRecombination:
         assert sorted(full_bound_factor_squarefree(f)) == expected
 
 
-class TestRationalRoots:
-    def test_period_two_at_minus_one(self):
-        assert rational_roots(Z**2 + Z) == [(Fraction(-1), 1), (Fraction(0), 1)]
-
-    def test_negative_discriminant_has_none(self):
-        assert rational_roots(Z**2 + Z + 2) == []
-
-    def test_double_root(self):
-        assert rational_roots((Z + Fraction(1, 2)) ** 2) == [(Fraction(-1, 2), 2)]
-
-    def test_roots_actually_vanish(self):
-        rng = random.Random(55)
-        for _ in range(50):
-            f = Poly.one()
-            for _ in range(rng.randint(1, 4)):
-                f = f * (rng.randint(1, 4) * Z + rng.randint(-6, 6))
-            f = f * (Z**2 + 1)
-            for root, mult in rational_roots(f):
-                assert f(root) == 0
-                assert mult >= 1
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            rational_roots(Poly.zero())
-
-
 class TestIsIrreducible:
     def test_quadratic_without_roots(self):
-        assert is_irreducible(Z**2 + Z + 1)
+        assert factor_over_q(Z**2 + Z + 1).is_irreducible()
 
     def test_difference_of_squares(self):
-        assert not is_irreducible(Z**2 - 1)
+        assert not factor_over_q(Z**2 - 1).is_irreducible()
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):
-            is_irreducible(Poly.constant(3))
+            factor_over_q(Poly.constant(3))
 
     def test_repeated_factor_not_irreducible(self):
-        assert not is_irreducible((Z + 1) ** 2)
+        assert not factor_over_q((Z + 1) ** 2).is_irreducible()
 
     @pytest.mark.parametrize("n,expected", [(2, True), (3, True), (4, False), (5, True)])
     def test_dynatomic_at_zero_vs_mersenne(self, n, expected):
         f = dynatomic_poly(MapSpec(2, Fraction(0)), n)
-        assert is_irreducible(f) is expected
+        assert factor_over_q(f).is_irreducible() is expected
 
     def test_dynatomic_at_minus_two(self):
-        assert is_irreducible(dynatomic_poly(MapSpec(2, Fraction(-2)), 3)) is False
+        f = dynatomic_poly(MapSpec(2, Fraction(-2)), 3)
+        assert factor_over_q(f).is_irreducible() is False
 
 
 class TestFactorization:
@@ -355,7 +330,24 @@ class TestFactorization:
         fac = factor_over_q(f)
         assert isinstance(fac, Factorization)
         assert sum(p.degree() * m for p, m in fac.factors) == f.degree()
-        assert fac.factor_degrees() == [5, 10, 15]
+        assert sorted(p.degree() for p, m in fac.factors for _ in range(m)) == [5, 10, 15]
+
+    def test_builds_a_fraction_for_the_content_only(self, monkeypatch):
+        # factors stay integer lists from the squarefree split to the Factorization
+        f = dynatomic_poly(MapSpec(2, Fraction(-71, 48)), 6)
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return Fraction(*args, **kwargs)
+
+        monkeypatch.setattr(factorq, "Fraction", Counted)
+        monkeypatch.setattr(polynomials, "Fraction", Counted)
+        fac = factor_over_q(f)
+        monkeypatch.undo()
+        assert f.degree() == 54 and [p.degree() for p, _ in fac.factors] == [2, 2, 2, 48]
+        assert [Fraction(*args) for args in built] == [fac.content]
 
 
 class TestHenselStep:

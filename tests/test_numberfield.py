@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dynatomic import numberfield, polynomials
 from dynatomic.errors import NotQuadraticIrrational, ParentMismatchError
-from dynatomic.factorq import is_irreducible
+from dynatomic.factorq import factor_over_q
 from dynatomic.numberfield import (
     QuadraticElement,
     _extract_square,
@@ -29,7 +29,7 @@ def rand_irreducible_monic(rng, max_degree=8):
     while True:
         deg = rng.randint(2, max_degree)
         f = Poly([Fraction(rng.randint(-6, 6)) for _ in range(deg)] + [Fraction(1)])
-        if f.degree() == deg and is_irreducible(f):
+        if f.degree() == deg and factor_over_q(f).is_irreducible():
             return f
 
 

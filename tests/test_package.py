@@ -30,6 +30,28 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     assert result["layers"]["factorq.factor_over_q.calls"] == 1
 
 
+def test_every_public_function_has_a_caller_in_the_package():
+    # a public top-level function is named by code in its own module, or in a
+    # module that imports it; a re-export (an import never read) and
+    # `__init__.py` do not count, nor does a method of the same name
+    package = Path(dynatomic.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    public = {(module, node.name) for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        origin = {alias.asname or alias.name: (node.module, alias.name)
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names}
+        used |= {origin.get(node.id, (module, node.id)) for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    # perfbench/inproc.py wraps `property_a.subfield_degree` for its trace span,
+    # so property_a re-exports it though the decision layer no longer calls it
+    assert sorted(public - used) == [("numberfield", "subfield_degree")]
+
+
 def test_only_polynomials_packs_slots():
     # the packed-slot format has one owner; a second packer would need struct or
     # int.to_bytes/from_bytes, so either outside polynomials.py fails here

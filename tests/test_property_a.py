@@ -10,11 +10,10 @@ from dynatomic.cycles import (
     _build_record,
     _merge_records,
     cycles_from_dynatomic,
-    orbit_in_algebra,
     quadratic_cycles,
 )
 from dynatomic.errors import ConsistencyError, DegreeGuardError
-from dynatomic.factorq import factor_over_q, is_irreducible
+from dynatomic.factorq import factor_over_q
 from dynatomic.maps import MapSpec, dynatomic_degree, dynatomic_poly
 from dynatomic.numberfield import QuotientAlgebra, subfield_degree
 from dynatomic.polynomials import Poly
@@ -31,7 +30,7 @@ from dynatomic.property_a import (
 )
 from dynatomic.rationals import enumerate_rationals_by_height
 from dynatomic.scan import scan_one
-from _oracles import half_period_conjugate, owner_search_merge, symmetric_functions
+from _oracles import half_period_conjugate, orbit_record, owner_search_merge, symmetric_functions
 
 Z = Poly.identity()
 
@@ -177,7 +176,7 @@ class TestConjugateCycleCount:
         spec = MapSpec(2, Fraction(-71, 48))
         factor = quadratic_cycles(spec, 6)[0].merged_factors[0]
         with pytest.raises(ConsistencyError):
-            check_point(orbit_in_algebra(factor, spec))
+            check_point(orbit_record(factor, spec))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -199,7 +198,7 @@ class TestConjugateCycleCount:
 
 def unmerged_records(spec: MapSpec, n: int) -> list[CycleRecord]:
     return [
-        _build_record(factor.monic(), mult, spec, n, max_steps=n)
+        _build_record(factor.monic(), mult, spec, n)
         for factor, mult in factor_over_q(dynatomic_poly(spec, n)).factors
     ]
 
@@ -300,14 +299,14 @@ class TestIrreducibilitySufficient:
 
     def test_cyclotomic_case(self):
         spec = MapSpec(2, Fraction(0))
-        assert is_irreducible(dynatomic_poly(spec, 3)) is True
+        assert factor_over_q(dynatomic_poly(spec, 3)).is_irreducible() is True
         report = check_aggregate(spec, 3)
         assert report.factor_degrees == (6,)
         assert report.aggregate == HOLDS
 
     def test_mersenne_composite_case(self):
         spec = MapSpec(2, Fraction(0))
-        assert is_irreducible(dynatomic_poly(spec, 4)) is False
+        assert factor_over_q(dynatomic_poly(spec, 4)).is_irreducible() is False
         report = check_aggregate(spec, 4)
         assert report.factor_degrees == (4, 8)
         assert report.aggregate == HOLDS
