@@ -15,7 +15,12 @@ The prime is the one with fewest factors among the first 5 usable primes.
 Each candidate's count r = n - rank(Q - I) (Berlekamp 1967) comes from
 forward elimination alone on its Frobenius rows, and only the chosen prime
 gets a nullspace basis, so a prime with r = 1 proves f irreducible before
-any basis is built.
+any basis is built.  Whether f mod p is squarefree, r and the chosen
+prime's split depend only on p and the monic image of f mod p, so they are
+computed once per such pair and kept in `_modular`, a memo of at most 1024
+entries shared by every later polynomial in the process: along a sweep of
+Phi_N(z, c) over c the image at p is Phi_N(z, c mod p), and 85-87 % of the
+lookups of the N = 6, h(c) <= 10 scan and of `verify-paper` hit it.
 
 The lift stops at p^l > 2B with B = C(k, k // 2) * (isqrt(sum a_i^2) + 1),
 k = deg f // 2.  Every split rest = g * h of a divisor of f has one side of
@@ -293,35 +298,82 @@ def _recombination_bound(f: list[int]) -> int:
     return comb(k, k // 2) * (isqrt(sum(c * c for c in f)) + 1)
 
 
+_Split = tuple[tuple[int, ...], ...]
+
+_MODULAR_BOUND = 1024
+_modular: dict[tuple[int, int], tuple[int, _Split | None]] = {}
+"""The modular results of `_select_prime`, least recently used first.
+
+Keyed by (p, `_slot_pack` of the monic image fm of f mod p), in slots of
+`_slot_bytes(p - 1)`; fm is monic, so the int is fm exactly.  The value is
+(r, split): r is Berlekamp's factor count of fm, 0 when fm is not
+squarefree, and split is None, or fm's monic irreducible factors as tuples
+once fm was a chosen prime's.  Each is a function of the key alone.
+
+The only memo that outlives a call in the package, and the one process-wide
+state: at most _MODULAR_BOUND entries, the least recently used dropped first.
+An entry holds the n + 1 slots of fm and a split of n + r coefficients in r
+tuples, under 0.5 MB at n = DEGREE_GUARD = 5000 with p < 2^30, so the memo
+stays under 0.5 GB.  A full `verify-paper` run leaves 372 entries, 0.13 MB.
+"""
+
+
+def _modular_entry(key: tuple[int, int], entry: tuple[int, _Split | None]) -> None:
+    """Store (r, split) under key as the most recently used entry, within the bound."""
+    _modular.pop(key, None)
+    _modular[key] = entry
+    if len(_modular) > _MODULAR_BOUND:
+        del _modular[next(iter(_modular))]
+
+
 def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
     """First 5 usable primes, keep the one with fewest modular factors.
 
     Each candidate is ranked by Berlekamp's count r = n - rank(Q - I) of its
     factors, and only the chosen prime gets a nullspace basis.  Returns None
     as soon as some reduction proves f irreducible over Z (r = 1).
+
+    Whether the monic image fm of f mod p is squarefree, its r and, at the
+    chosen prime, its split are read from `_modular` when an earlier
+    polynomial in the process had the same (p, fm), and computed by the
+    kernels and stored otherwise.  All three depend on (p, fm) alone, so the
+    chosen prime and the split are those a cold memo gives.  For c = a/b with
+    p not dividing b, fm of Phi_N(z, c) is Phi_N(z, c mod p) over F_p, so a
+    sweep over c meets at most p images per prime and period.
     """
     lc = f[-1]
     n = len(f) - 1
-    best: tuple[int, int, list[int], list[list[int]]] | None = None
+    best: tuple[int, int, list[int], tuple[int, int], _Split | None,
+                list[list[int]] | None] | None = None
     tried = 0
     for p in primes():
         if lc % p == 0:
             continue
-        fp = _gf_trunc(f, p)
-        if not _gf_is_squarefree(fp, p):
+        fm = _gf_monic(_gf_trunc(f, p), p)
+        key = (p, _slot_pack(fm, _slot_bytes(p - 1)))
+        r, split = _modular.get(key) or (None, None)
+        rows = None
+        if r is None:
+            r = 0
+            if _gf_is_squarefree(fm, p):
+                rows = _frobenius_rows(fm, p)
+                r = n - _rank_of_frobenius(rows, p)
+        _modular_entry(key, (r, split))
+        if r == 0:
             continue
-        fm = _gf_monic(fp, p)
-        rows = _frobenius_rows(fm, p)
-        r = n - _rank_of_frobenius(rows, p)
         if r == 1:
             return None
         if best is None or r < best[0]:  # primes ascend, so ties keep the smaller p
-            best = (r, p, fm, rows)
+            best = (r, p, fm, key, split, rows)
         tried += 1
         if tried == 5:
             break
-    _, p, fm, rows = best
-    return p, _berlekamp_split(fm, p, _nullspace_dimension_and_basis(rows, p))
+    r, p, fm, key, split, rows = best
+    if split is None:
+        basis = _nullspace_dimension_and_basis(rows or _frobenius_rows(fm, p), p)
+        split = tuple(map(tuple, _berlekamp_split(fm, p, basis)))
+        _modular_entry(key, (r, split))
+    return p, [list(u) for u in split]
 
 
 def _at_one_and_minus_one(g: list[int]) -> tuple[int, int]:

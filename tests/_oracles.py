@@ -45,7 +45,9 @@ by `Poly` powers, not through the chain `maps._chain` builds Phi_N from,
 rather than by Horner's rule, and `orbit_record` walks the class of z in
 Q[z]/(factor) until it returns, within 100 steps as `orbit_in_algebra`
 did, and takes the period it finds; unlike `cycles._build_record` it has
-no escape guard and is asked for no period.
+no escape guard and is asked for no period.  `resultant_mod_p` is Euclid's
+resultant over F_p on list loops, from which the discriminant of f mod p
+checks Berlekamp's factor count by Stickelberger's theorem.
 """
 
 from __future__ import annotations
@@ -356,6 +358,34 @@ def list_nullspace_basis(rows: list[list[int]], p: int) -> list[list[int]]:
             v[pcol] = (-a[prow][col]) % p
         basis.append(v)
     return basis
+
+
+def resultant_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Res(a, b) mod p for the degrees of a and b mod p, by Euclid's algorithm.
+
+    Res(a, b) = lc(a)^deg b * prod b(alpha) over the roots alpha of a, so with
+    a = q*b + r: Res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg r) Res(b, r).
+    The remainders are plain list loops mod p, independent of `factorq`.
+    """
+    a, b = _strip([c % p for c in a]), _strip([c % p for c in b])
+    if not a or not b:
+        return 0
+    result = 1
+    while len(b) > 1:
+        r = list(a)
+        inv = pow(b[-1], -1, p)
+        while len(r) >= len(b):
+            q = r[-1] * inv % p
+            shift = len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] = (r[shift + i] - q * c) % p
+            _strip(r)
+        if not r:
+            return 0
+        n, m = len(a) - 1, len(b) - 1
+        result = result * (-1) ** (n * m) * pow(b[-1], n - (len(r) - 1), p) % p
+        a, b = b, r
+    return result * pow(b[0], len(a) - 1, p) % p
 
 
 def schoolbook_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import ceil, log2
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import _oracles
 from dynatomic import factorq, polynomials
@@ -15,9 +15,11 @@ from dynatomic.factorq import (
 )
 from dynatomic.maps import MapSpec, dynatomic_poly
 from dynatomic.polynomials import _STRUCT_CODES, Poly, _convolve, _slot_bytes, _zz_divmod
+from dynatomic.rationals import enumerate_rationals_by_height, primes
 from _oracles import (
     brute_force_irreducible, clustering_factor_candidates, expand, full_bound_factor_squarefree,
     gated_factor_squarefree, list_frobenius_rows, list_nullspace_basis, naive_gcd,
+    resultant_mod_p,
 )
 
 Z = Poly.identity()
@@ -600,11 +602,15 @@ class TestPackedBerlekamp:
             asked.clear()
 
 
-def _select_on_phi(c, n):
-    f = dynatomic_poly(MapSpec(2, Fraction(c)), n)
-    (part, mult), = f.squarefree_decomposition()
+def _phi_part(c, n):
+    """Phi_n(z, c) for z^2 + c as a primitive integer list; it must be squarefree."""
+    (part, mult), = dynatomic_poly(MapSpec(2, Fraction(c)), n).squarefree_decomposition()
     assert mult == 1
-    selected = _select_prime([x.numerator for x in part.coeffs])
+    return [x.numerator for x in part.coeffs]
+
+
+def _select_on_phi(c, n):
+    selected = _select_prime(_phi_part(c, n))
     return None if selected is None else (selected[0], sorted(len(u) - 1 for u in selected[1]))
 
 
@@ -627,8 +633,168 @@ class TestSelectPrimePinned:
     @pytest.mark.parametrize("c, n, expected", PINNED)
     def test_one_basis_for_the_chosen_prime_only(self, c, n, expected, monkeypatch):
         # candidates are ranked by r alone; a prime proving irreducibility needs no basis
+        factorq._modular.clear()  # else the memo warmed by test_pinned_cells answers
         asked = []
         spy = lambda rows, p: asked.append(p) or _nullspace_dimension_and_basis(rows, p)
         monkeypatch.setattr(factorq, "_nullspace_dimension_and_basis", spy)
         assert _select_on_phi(c, n) == expected
         assert asked == ([] if expected is None else [expected[0]])
+
+
+KERNELS = ("_gf_is_squarefree", "_frobenius_rows", "_rank_of_frobenius",
+           "_nullspace_dimension_and_basis")
+
+
+def _spy_kernels(monkeypatch):
+    """Names of the modular kernels called from now on, in call order."""
+    asked = []
+    for name in KERNELS:
+        kernel = getattr(factorq, name)
+        monkeypatch.setattr(factorq, name,
+                            lambda *args, k=kernel, n=name: asked.append(n) or k(*args))
+    return asked
+
+
+@st.composite
+def _agreeing_mod_p(draw):
+    """f and f + p*g, which agree mod p, and an unrelated polynomial.
+
+    Each is primitive and squarefree with lc > 0, as `_select_prime` needs.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(1, 8))
+    f = [draw(st.integers(-30, 30)) for _ in range(n)] + [draw(st.integers(1, 30))]
+    g = [draw(st.integers(-5, 5)) for _ in range(n)]
+    other = [draw(st.integers(-30, 30)) for _ in range(draw(st.integers(1, 8)))] + [1]
+    inputs = [f, [a + p * b for a, b in zip(f, g)] + [f[-1]], other]
+    for h in inputs:
+        assume(any(h[:-1]) and _squarefree_parts(Poly(h)) == [h])
+    return inputs
+
+
+def _discriminant_mod_p(f, p):
+    """disc f mod p = (-1)^(n(n-1)/2) Res(f, f') / lc f, with f' of formal degree n - 1."""
+    n = len(f) - 1
+    deriv = [i * c % p for i, c in enumerate(f)][1:]
+    while deriv and not deriv[-1]:
+        deriv.pop()
+    res = resultant_mod_p(f, deriv, p) * pow(f[-1], n - len(deriv), p)  # (n - 1) - deg f'
+    return (-1) ** (n * (n - 1) // 2) * res * pow(f[-1], -1, p) % p
+
+
+def _check_stickelberger(f):
+    """(disc f / p) = (-1)^(n - r) at the first 5 odd primes where f mod p is squarefree."""
+    n = len(f) - 1
+    checked = 0
+    for p in primes():
+        if p == 2 or f[-1] % p == 0:
+            continue
+        disc = _discriminant_mod_p(f, p)
+        fm = [c * pow(f[-1], -1, p) % p for c in f]
+        assert factorq._gf_is_squarefree(fm, p) == (disc != 0)
+        if not disc:
+            continue
+        r = n - _rank_of_frobenius(_frobenius_rows(fm, p), p)
+        legendre = pow(disc, (p - 1) // 2, p)
+        assert legendre == (1 if (n - r) % 2 == 0 else p - 1), (f, p, r)
+        checked += 1
+        if checked == 5:
+            return
+
+
+class TestModularMemo:
+    """`_select_prime` computes its modular results once per (p, image of f mod p)."""
+
+    @pytest.mark.parametrize("c, n, expected", PINNED)
+    def test_a_warm_memo_runs_no_kernel(self, c, n, expected, monkeypatch):
+        f = _phi_part(c, n)
+        factorq._modular.clear()
+        cold = _select_prime(f)
+        asked = _spy_kernels(monkeypatch)
+        assert _select_prime(f) == cold
+        assert asked == []
+        assert _select_on_phi(c, n) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_agreeing_mod_p())
+    def test_inputs_agreeing_mod_p_get_their_cold_results(self, inputs):
+        # f and f + p*g share their image at p, and at no prime need share more;
+        # each result from a memo warmed by the others equals a cold one
+        cold = []
+        for h in inputs:
+            factorq._modular.clear()
+            cold.append((_select_prime(h), factor_over_q(Poly(h))))
+        factorq._modular.clear()
+        for order in (inputs, inputs[::-1]):
+            for h, want in zip(order, cold if order is inputs else cold[::-1]):
+                assert (_select_prime(h), factor_over_q(Poly(h))) == want
+                oracle = sorted(gated_factor_squarefree(h))
+                assert sorted(_zz_factor_squarefree(h)) == oracle
+                got = sorted(list(fac.as_integer_ratio()[0]) for fac, _ in want[1].factors)
+                assert got == oracle
+
+    def test_a_sweep_over_c_selects_as_a_cold_memo_does(self, monkeypatch):
+        # along the sweep, a prime that was only ranked before can be chosen
+        # later: its rows are then built again for the one basis
+        parts = [part for c in enumerate_rationals_by_height(5)
+                 for part in _squarefree_parts(dynatomic_poly(MapSpec(2, c), 6))]
+        cold = []
+        for part in parts:
+            factorq._modular.clear()
+            cold.append(_select_prime(part))
+        factorq._modular.clear()
+        asked = _spy_kernels(monkeypatch)
+        late = 0
+        for part, want in zip(parts, cold):
+            del asked[:]
+            assert _select_prime(part) == want
+            late += asked[-2:] == ["_frobenius_rows", "_nullspace_dimension_and_basis"]
+        assert late > 0
+
+    def test_more_images_than_the_bound_leave_at_most_the_bound(self):
+        factorq._modular.clear()
+        rng = random.Random(41)
+        seen = set()
+        while len(seen) <= factorq._MODULAR_BOUND + 50:
+            factor_over_q(Poly([rng.randint(-99, 99) for _ in range(8)] + [1]))
+            assert len(factorq._modular) <= factorq._MODULAR_BOUND
+            seen |= factorq._modular.keys()
+        assert len(factorq._modular) == factorq._MODULAR_BOUND
+
+
+class TestStickelberger:
+    """Berlekamp's r against the discriminant: (disc f / p) = (-1)^(n - r) for odd p."""
+
+    @pytest.mark.parametrize("c, n", [(c, n) for c, n, _ in PINNED])
+    def test_pinned_cells(self, c, n):
+        _check_stickelberger(_phi_part(c, n))
+
+    def test_period_six_candidates_up_to_height_five(self):
+        cells = list(enumerate_rationals_by_height(5))
+        assert len(cells) == 39
+        for c in cells:
+            for part in _squarefree_parts(dynatomic_poly(MapSpec(2, c), 6)):
+                _check_stickelberger(part)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12), st.integers(1, 50))
+    def test_random_squarefree_polynomials(self, low, lc):
+        f = low + [lc]
+        assume(any(low) and _squarefree_parts(Poly(f)) == [f])
+        _check_stickelberger(f)
+
+    def test_resultant_oracle_by_the_roots(self):
+        # Res(b * prod (z - a_i), g) = b^deg g * prod g(a_i)
+        rng = random.Random(43)
+        for p in (2, 3, 5, 13, 101):
+            for _ in range(20):
+                roots = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+                b = rng.randrange(1, p)
+                f = [b]
+                for a in roots:
+                    f = _convolve(f, [-a, 1])
+                g = [rng.randrange(p) for _ in range(rng.randint(0, 5))] + [rng.randrange(1, p)]
+                want = pow(b, len(g) - 1, p)
+                for a in roots:
+                    want = want * sum(c * a**i for i, c in enumerate(g)) % p
+                assert resultant_mod_p(f, g, p) == want

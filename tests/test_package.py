@@ -109,3 +109,59 @@ def test_ring_operations_build_no_fraction(monkeypatch):
     results = [f + g, f - g, f * g, g - f, x + y, x - y, x * y, y * x - x]
     monkeypatch.undo()
     assert built == [] and len(results) == 8
+
+
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "discard", "add",
+            "update", "clear", "setdefault", "sort", "reverse", "appendleft", "popleft",
+            "__setitem__", "__delitem__"}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
+
+
+def _process_wide_state(source):
+    """Memo decorators, and module-level containers that the module mutates."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        for deco in getattr(node, "decorator_list", []):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in ("lru_cache", "cache"):
+                found.append(f"@{name} {node.name}")
+    containers = set()
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        literal = isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                     ast.SetComp))
+        built = isinstance(value, ast.Call) and getattr(value.func, "id", "") in CONTAINER_CALLS
+        if literal or built:
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    mutated = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            mutated.add(named(node.value))
+        elif isinstance(node, ast.AugAssign):
+            mutated.add(named(node.target))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS:
+            mutated.add(named(node.func.value))
+        elif isinstance(node, ast.Global):
+            mutated |= set(node.names)
+    return found + sorted(containers & mutated)
+
+
+def test_one_process_wide_memo():
+    # iterates, orbits and fields are built per call, and no cache outlives the
+    # call that filled it, except factorq's bounded memo of modular results
+    assert _process_wide_state("@functools.lru_cache(8)\ndef f(): pass\n"
+                               "@cache\ndef g(): pass\n_seen = set()\n_n = [0]\n"
+                               "def h(x):\n    _seen.add(x)\n    _n[0] += 1\n") \
+        == ["@lru_cache f", "@cache g", "_n", "_seen"]
+    found = []
+    for path in sorted((Path(dynatomic.__file__).parent).glob("*.py")):
+        found += [f"{path.stem}.{name}" for name in _process_wide_state(path.read_text())]
+    assert found == ["factorq._modular"]
