@@ -13,14 +13,15 @@ when the `Factorization` is built.
 
 The prime is the one with fewest factors among the first 5 usable primes.
 Each candidate's count r = n - rank(Q - I) (Berlekamp 1967) comes from
-forward elimination alone on its Frobenius rows, and only the chosen prime
-gets a nullspace basis, so a prime with r = 1 proves f irreducible before
-any basis is built.  Whether f mod p is squarefree, r and the chosen
-prime's split depend only on p and the monic image of f mod p, so they are
-computed once per such pair and kept in `_modular`, a memo of at most 1024
-entries shared by every later polynomial in the process: along a sweep of
-Phi_N(z, c) over c the image at p is Phi_N(z, c mod p), and 85-87 % of the
-lookups of the N = 6, h(c) <= 10 scan and of `verify-paper` hit it.
+one forward elimination of (Q - I)^T, and only the chosen prime gets a
+basis, by back-substitution on that same echelon form, so a prime with
+r = 1 proves f irreducible before any basis is built.  Whether f mod p is
+squarefree, r and the chosen prime's split depend only on p and the monic
+image of f mod p, so they are computed once per such pair and kept in
+`_modular`, a memo of at most 1024 entries shared by every later
+polynomial in the process: along a sweep of Phi_N(z, c) over c the image
+at p is Phi_N(z, c mod p), and 85-87 % of the lookups of the N = 6,
+h(c) <= 10 scan and of `verify-paper` hit it.
 
 The lift stops at p^l > 2B with B = C(k, k // 2) * (isqrt(sum a_i^2) + 1),
 k = deg f // 2.  Every split rest = g * h of a divisor of f has one side of
@@ -121,22 +122,23 @@ def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
     return rows
 
 
-def _rank_of_frobenius(rows: list[list[int]], p: int) -> int:
-    """Rank of M - I over F_p for the square matrix M with given rows.
+def _frobenius_echelon(rows: list[list[int]], p: int) -> list[int]:
+    """Echelon form over F_p of (M - I)^T for the square matrix M with given rows.
 
-    Forward elimination on the packed rows of M - I (a matrix and its
-    transpose have one rank).  A row operation adds m * pivot row with m < p,
-    and only pivot rows are reduced mod p, so slots never exceed
-    n(p - 1)^2 + p.
+    Forward elimination on the packed columns of M - I, the rows of its
+    transpose.  Returns the pivot rows in column order, each 1 at its pivot,
+    0 before it and reduced mod p, so Berlekamp's r is n - len(echelon).  A
+    row operation adds (p - c) * pivot row with c < p, and only pivot rows
+    are reduced mod p, so slots never exceed n(p - 1)^2 + p.
     """
     n = len(rows)
     nb = _slot_bytes(n * (p - 1) ** 2 + p)
     w = 8 * nb
     mask = (1 << w) - 1
-    # row i of M with slot i moved from row[i] to (row[i] - 1) mod p
-    rest = [_slot_pack(row, nb) + (((row[i] - 1) % p - row[i]) << w * i)
-            for i, row in enumerate(rows)]
-    rank = 0
+    # column j of M with slot j moved from col[j] to (col[j] - 1) mod p
+    rest = [_slot_pack(col, nb) + (((col[j] - 1) % p - col[j]) << w * j)
+            for j, col in enumerate(zip(*rows))]
+    echelon = []
     for col in range(n):
         shift = w * col
         for i, x in enumerate(rest):
@@ -144,49 +146,40 @@ def _rank_of_frobenius(rows: list[list[int]], p: int) -> int:
                 break
         else:
             continue
-        prow = _slot_pack([v % p for v in _slot_unpack(rest.pop(i), n, nb)], nb)
-        neg = p - pow(lead, -1, p)
-        rank += 1
+        inv = pow(lead, -1, p)
+        prow = _slot_pack([v * inv % p for v in _slot_unpack(rest.pop(i), n, nb)], nb)
+        echelon.append(prow)
         for r in range(i, len(rest)):  # the rows before the pivot are 0 mod p at col
             if c := (rest[r] >> shift & mask) % p:
-                rest[r] += c * neg % p * prow
-    return rank
+                rest[r] += (p - c) * prow
+    return echelon
 
 
-def _nullspace_dimension_and_basis(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : v * M = v} over F_p for the square matrix M with given rows.
+def _berlekamp_basis(echelon: list[int], n: int, p: int) -> list[list[int]]:
+    """Basis of {v : v * M = v} over F_p from the `_frobenius_echelon` of M.
 
-    Gauss-Jordan on the packed transpose of M - I.  A row operation adds
-    (p - factor) * pivot row, and only pivot rows are reduced mod p, so slots
-    never exceed n(p - 1)^2 + p.
+    Back-substitution, last pivot first: each pivot row is reduced mod p in
+    its turn and clears its pivot column from the rows above it by adding
+    (p - c) * pivot row with c < p, so slots never exceed n(p - 1)^2 + p.
+    The vector of a free column j is 1 at j, 0 at the other free columns and
+    -row[j] at the pivot column of each reduced row.
     """
-    n = len(rows)
     nb = _slot_bytes(n * (p - 1) ** 2 + p)
     w = 8 * nb
     mask = (1 << w) - 1
-    a = [_slot_pack([(c - (i == j)) % p for j, c in enumerate(col)], nb)
-         for i, col in enumerate(zip(*rows))]
-    pivots: dict[int, int] = {}
-    for col in range(n):
-        row = len(pivots)
-        for sel in range(row, n):
-            if lead := (a[sel] >> w * col & mask) % p:
-                break
-        else:
-            continue
-        inv = pow(lead, -1, p)
-        a[row], a[sel] = a[sel], a[row]
-        a[row] = prow = _slot_pack([v * inv % p for v in _slot_unpack(a[row], n, nb)], nb)
-        for r in range(n):
-            if r != row and (factor := (a[r] >> w * col & mask) % p):
-                a[r] += (p - factor) * prow
-        pivots[col] = row
-    free = [col for col in range(n) if col not in pivots]
+    rows = list(echelon)
+    pivots = [((x & -x).bit_length() - 1) // w for x in rows]  # the lowest nonzero slot
+    free = sorted(set(range(n)).difference(pivots))
     basis = [[int(j == col) for j in range(n)] for col in free]
-    for pcol, prow in pivots.items():
-        vals = _slot_unpack(a[prow], n, nb)
+    for k in range(len(rows) - 1, -1, -1):
+        vals = [v % p for v in _slot_unpack(rows[k], n, nb)]
         for v, col in zip(basis, free):
-            v[pcol] = -vals[col] % p
+            v[pivots[k]] = -vals[col] % p
+        prow = _slot_pack(vals, nb)
+        shift = w * pivots[k]
+        for j in range(k):
+            if c := (rows[j] >> shift & mask) % p:
+                rows[j] += (p - c) * prow
     return basis
 
 
@@ -329,9 +322,10 @@ def _modular_entry(key: tuple[int, int], entry: tuple[int, _Split | None]) -> No
 def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
     """First 5 usable primes, keep the one with fewest modular factors.
 
-    Each candidate is ranked by Berlekamp's count r = n - rank(Q - I) of its
-    factors, and only the chosen prime gets a nullspace basis.  Returns None
-    as soon as some reduction proves f irreducible over Z (r = 1).
+    Each candidate is ranked by Berlekamp's count r = n - len(echelon) of its
+    factors, and `best` keeps the echelon form, so the chosen prime's matrix
+    is eliminated once and its basis is read by back-substitution alone.
+    Returns None as soon as some reduction proves f irreducible over Z (r = 1).
 
     Whether the monic image fm of f mod p is squarefree, its r and, at the
     chosen prime, its split are read from `_modular` when an earlier
@@ -344,7 +338,7 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
     lc = f[-1]
     n = len(f) - 1
     best: tuple[int, int, list[int], tuple[int, int], _Split | None,
-                list[list[int]] | None] | None = None
+                list[int] | None] | None = None
     tried = 0
     for p in primes():
         if lc % p == 0:
@@ -352,26 +346,27 @@ def _select_prime(f: list[int]) -> tuple[int, list[list[int]]] | None:
         fm = _gf_monic(_gf_trunc(f, p), p)
         key = (p, _slot_pack(fm, _slot_bytes(p - 1)))
         r, split = _modular.get(key) or (None, None)
-        rows = None
+        echelon = None
         if r is None:
             r = 0
             if _gf_is_squarefree(fm, p):
-                rows = _frobenius_rows(fm, p)
-                r = n - _rank_of_frobenius(rows, p)
+                echelon = _frobenius_echelon(_frobenius_rows(fm, p), p)
+                r = n - len(echelon)
         _modular_entry(key, (r, split))
         if r == 0:
             continue
         if r == 1:
             return None
         if best is None or r < best[0]:  # primes ascend, so ties keep the smaller p
-            best = (r, p, fm, key, split, rows)
+            best = (r, p, fm, key, split, echelon)
         tried += 1
         if tried == 5:
             break
-    r, p, fm, key, split, rows = best
+    r, p, fm, key, split, echelon = best
     if split is None:
-        basis = _nullspace_dimension_and_basis(rows or _frobenius_rows(fm, p), p)
-        split = tuple(map(tuple, _berlekamp_split(fm, p, basis)))
+        if echelon is None:  # r came from the memo; [] is the echelon of M = I
+            echelon = _frobenius_echelon(_frobenius_rows(fm, p), p)
+        split = tuple(map(tuple, _berlekamp_split(fm, p, _berlekamp_basis(echelon, n, p))))
         _modular_entry(key, (r, split))
     return p, [list(u) for u in split]
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import ceil, log2
 
 import pytest
@@ -9,12 +9,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 import _oracles
 from dynatomic import factorq, polynomials
 from dynatomic.factorq import (
-    Factorization, _frobenius_rows, _gf_pow_mod, _nullspace_dimension_and_basis,
-    _rank_of_frobenius, _recombination_bound, _select_prime, _zz_factor_squarefree,
-    factor_over_q,
+    Factorization, _berlekamp_basis, _frobenius_echelon, _frobenius_rows, _gf_pow_mod,
+    _recombination_bound, _select_prime, _zz_factor_squarefree, factor_over_q,
 )
 from dynatomic.maps import MapSpec, dynatomic_poly
-from dynatomic.polynomials import _STRUCT_CODES, Poly, _convolve, _slot_bytes, _zz_divmod
+from dynatomic.polynomials import (
+    _STRUCT_CODES, Poly, _convolve, _slot_bytes, _slot_unpack, _zz_divmod,
+)
 from dynatomic.rationals import enumerate_rationals_by_height, primes
 from _oracles import (
     brute_force_irreducible, clustering_factor_candidates, expand, full_bound_factor_squarefree,
@@ -459,10 +460,15 @@ def _last_n(bound, bits):
 
 
 def _check_elimination(rows, p):
-    """Both elimination kernels against the list elimination."""
+    """The echelon form and the basis read from it against the list elimination."""
+    n = len(rows)
     basis = list_nullspace_basis(rows, p)
-    assert _nullspace_dimension_and_basis(rows, p) == basis
-    assert _rank_of_frobenius(rows, p) == len(rows) - len(basis)
+    echelon = _frobenius_echelon(rows, p)
+    assert _berlekamp_basis(echelon, n, p) == basis
+    assert len(echelon) == n - len(basis)
+
+
+MATRIX_KINDS = ["random", "zero", "identity", "all-max", "low-rank", "identity-plus-low-rank"]
 
 
 def _matrix(kind, n, p, rng):
@@ -491,21 +497,40 @@ class TestPackedBerlekamp:
     @given(
         st.sampled_from(PACKED_PRIMES),
         st.integers(1, 60),
-        st.sampled_from(["random", "zero", "identity", "all-max", "low-rank",
-                         "identity-plus-low-rank"]),
+        st.sampled_from(MATRIX_KINDS),
         st.integers(0, 2**32),
     )
     def test_nullspace_matches_list_elimination(self, p, n, kind, seed):
         rows = _matrix(kind, n, p, random.Random(seed))
         _check_elimination(rows, p)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(PACKED_PRIMES + [P29]),
+        st.integers(1, 60),
+        st.sampled_from(MATRIX_KINDS),
+        st.integers(0, 2**32),
+    )
+    def test_echelon_rows_are_reduced_with_increasing_pivots(self, p, n, kind, seed):
+        # back-substitution's slot bound needs every slot of a pivot row below p
+        rows = _matrix(kind, n, p, random.Random(seed))
+        nb = _slot_bytes(n * (p - 1) ** 2 + p)
+        pivots = []
+        for x in _frobenius_echelon(rows, p):
+            assert 0 < x < 1 << 8 * nb * n  # nothing past the n-th slot
+            slots = _slot_unpack(x, n, nb)
+            pivot = next(i for i, v in enumerate(slots) if v)  # slots before it are 0
+            assert slots[pivot] == 1
+            assert all(v < p for v in slots)
+            pivots.append(pivot)
+        assert pivots == sorted(set(pivots))
+
     def test_large_sizes_match_list_loops(self):
         # hypothesis favours small n; this covers n in [40, 60] for every p
         rng = random.Random(2)
-        kinds = ["random", "zero", "identity", "all-max", "low-rank", "identity-plus-low-rank"]
         for i, p in enumerate(PACKED_PRIMES * 3):
             n = rng.randint(40, 60)
-            rows = _matrix(kinds[i % len(kinds)], n, p, rng)
+            rows = _matrix(MATRIX_KINDS[i % len(MATRIX_KINDS)], n, p, rng)
             _check_elimination(rows, p)
             f = [rng.randrange(p) for _ in range(n)] + [1]
             assert _frobenius_rows(f, p) == list_frobenius_rows(f, p)
@@ -524,7 +549,7 @@ class TestPackedBerlekamp:
         rng = random.Random(3)
         for p in PACKED_PRIMES:
             rows = _matrix("identity-plus-low-rank", 25, p, rng)
-            basis = _nullspace_dimension_and_basis(rows, p)
+            basis = _berlekamp_basis(_frobenius_echelon(rows, p), 25, p)
             for v in basis:
                 image = [sum(v[i] * rows[i][j] for i in range(25)) for j in range(25)]
                 assert [(x - y) % p for x, y in zip(image, v)] == [0] * 25
@@ -594,10 +619,10 @@ class TestPackedBerlekamp:
             rows = _frobenius_rows(f, p)
             assert asked == [(2 * n - 1) * (p - 1) ** 2]
             asked.clear()
-            _nullspace_dimension_and_basis(rows, p)
+            echelon = _frobenius_echelon(rows, p)
             assert asked == [n * (p - 1) ** 2 + p]
             asked.clear()
-            _rank_of_frobenius(rows, p)
+            _berlekamp_basis(echelon, n, p)
             assert asked == [n * (p - 1) ** 2 + p]
             asked.clear()
 
@@ -635,23 +660,48 @@ class TestSelectPrimePinned:
         # candidates are ranked by r alone; a prime proving irreducibility needs no basis
         factorq._modular.clear()  # else the memo warmed by test_pinned_cells answers
         asked = []
-        spy = lambda rows, p: asked.append(p) or _nullspace_dimension_and_basis(rows, p)
-        monkeypatch.setattr(factorq, "_nullspace_dimension_and_basis", spy)
+        spy = lambda echelon, n, p: asked.append(p) or _berlekamp_basis(echelon, n, p)
+        monkeypatch.setattr(factorq, "_berlekamp_basis", spy)
         assert _select_on_phi(c, n) == expected
         assert asked == ([] if expected is None else [expected[0]])
 
+    @pytest.mark.parametrize("c, n, expected", PINNED)
+    def test_one_echelon_per_squarefree_candidate(self, c, n, expected, monkeypatch):
+        # the chosen prime's basis reads the echelon its ranking built
+        f = _phi_part(c, n)
+        factorq._modular.clear()
+        asked = []
+        spy = lambda rows, p: asked.append(p) or _frobenius_echelon(rows, p)
+        monkeypatch.setattr(factorq, "_frobenius_echelon", spy)
+        assert _select_on_phi(c, n) == expected
+        candidates = [p for p in takewhile(lambda p: p <= asked[-1], primes()) if f[-1] % p]
+        assert asked == [p for p in candidates
+                         if factorq._gf_is_squarefree(factorq._gf_monic(f, p), p)]
 
-KERNELS = ("_gf_is_squarefree", "_frobenius_rows", "_rank_of_frobenius",
-           "_nullspace_dimension_and_basis")
+    def test_the_empty_echelon_of_the_identity_is_not_rebuilt(self, monkeypatch):
+        # z(z - 1)(z - 2) splits into linear factors mod every odd prime, so
+        # M = I there, r = 3 = n, and the chosen prime 3 has the echelon []
+        factorq._modular.clear()
+        built, echelons = [], []
+        rows_spy = lambda f, p: built.append(p) or _frobenius_rows(f, p)
+        basis_spy = lambda e, n, p: echelons.append(e) or _berlekamp_basis(e, n, p)
+        monkeypatch.setattr(factorq, "_frobenius_rows", rows_spy)
+        monkeypatch.setattr(factorq, "_berlekamp_basis", basis_spy)
+        assert _select_prime([0, 2, -3, 1]) == (3, [[0, 1], [1, 1], [2, 1]])
+        assert built == [3, 5, 7, 11, 13]  # 2 is no candidate: z^2 (z + 1)
+        assert echelons == [[]]
+
+
+KERNELS = ("_gf_is_squarefree", "_frobenius_rows", "_frobenius_echelon", "_berlekamp_basis")
 
 
 def _spy_kernels(monkeypatch):
-    """Names of the modular kernels called from now on, in call order."""
+    """(name, p) of each modular kernel called from now on, in call order."""
     asked = []
     for name in KERNELS:
         kernel = getattr(factorq, name)
         monkeypatch.setattr(factorq, name,
-                            lambda *args, k=kernel, n=name: asked.append(n) or k(*args))
+                            lambda *args, k=kernel, n=name: asked.append((n, args[-1])) or k(*args))
     return asked
 
 
@@ -694,7 +744,7 @@ def _check_stickelberger(f):
         assert factorq._gf_is_squarefree(fm, p) == (disc != 0)
         if not disc:
             continue
-        r = n - _rank_of_frobenius(_frobenius_rows(fm, p), p)
+        r = n - len(_frobenius_echelon(_frobenius_rows(fm, p), p))
         legendre = pow(disc, (p - 1) // 2, p)
         assert legendre == (1 if (n - r) % 2 == 0 else p - 1), (f, p, r)
         checked += 1
@@ -735,7 +785,7 @@ class TestModularMemo:
 
     def test_a_sweep_over_c_selects_as_a_cold_memo_does(self, monkeypatch):
         # along the sweep, a prime that was only ranked before can be chosen
-        # later: its rows are then built again for the one basis
+        # later: its rows and echelon form are then built again for the one basis
         parts = [part for c in enumerate_rationals_by_height(5)
                  for part in _squarefree_parts(dynatomic_poly(MapSpec(2, c), 6))]
         cold = []
@@ -748,8 +798,13 @@ class TestModularMemo:
         for part, want in zip(parts, cold):
             del asked[:]
             assert _select_prime(part) == want
-            late += asked[-2:] == ["_frobenius_rows", "_nullspace_dimension_and_basis"]
-        assert late > 0
+            assert len(set(asked)) == len(asked)  # no kernel twice at one prime
+            p = want and want[0]
+            if ("_gf_is_squarefree", p) not in asked and ("_frobenius_rows", p) in asked:
+                # the chosen prime's r came from the memo and its split did not
+                assert asked[-3:] == [(name, p) for name in KERNELS[1:]]
+                late += 1
+        assert late == 6
 
     def test_more_images_than_the_bound_leave_at_most_the_bound(self):
         factorq._modular.clear()
