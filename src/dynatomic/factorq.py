@@ -1,15 +1,16 @@
 """Complete factorization of univariate polynomials over Q.
 
 Pipeline: primitive integer form -> squarefree (Yun) decomposition -> modular
-factorization (deterministic Berlekamp) -> quadratic Hensel lifting to a
-half-degree Mignotte bound -> Zassenhaus subset recombination with a
-next-to-leading coefficient gate, trailing coefficient pruning, a prune by
-the values at 1 and -1 and exact trial division.  Output is fully exact and
-deterministic; irreducible factors are primitive integer polynomials with
-positive leading coefficient, listed by (degree, coefficients).  Factors stay
-integer coefficient lists from the squarefree parts on, and the content comes
-from the integer leading coefficients; each factor becomes a `Poly` once,
-when the `Factorization` is built.
+factorization (deterministic Berlekamp) -> quadratic Hensel lifting, first to
+trace precision, where a search over subsets of the lifted factors proves
+most inputs irreducible, then on to a half-degree Mignotte bound ->
+Zassenhaus subset recombination with one trace gate, trailing coefficient
+pruning, a prune by the values at 1 and -1 and exact trial division.  Output
+is fully exact and deterministic; irreducible factors are primitive integer
+polynomials with positive leading coefficient, listed by (degree,
+coefficients).  Factors stay integer coefficient lists from the squarefree
+parts on, and the content comes from the integer leading coefficients; each
+factor becomes a `Poly` once, when the `Factorization` is built.
 
 The prime is the one with fewest factors among the first 5 usable primes.
 Each candidate's count r = n - rank(Q - I) (Berlekamp 1967) comes from
@@ -23,20 +24,33 @@ polynomial in the process: along a sweep of Phi_N(z, c) over c the image
 at p is Phi_N(z, c mod p), and 85-87 % of the lookups of the N = 6,
 h(c) <= 10 scan and of `verify-paper` hit it.
 
-The lift stops at p^l > 2B with B = C(k, k // 2) * (isqrt(sum a_i^2) + 1),
-k = deg f // 2.  Every split rest = g * h of a divisor of f has one side of
-degree at most deg(rest) / 2 <= k; for that side, b * prod F_i = lc(h) * g
-mod p^l with b = lc(rest), and |lc(h) * g_j| <= C(deg g, j) M(rest) <= B
-(Mignotte 1974, Landau), so lc f plays no part.  Zassenhaus therefore
-rebuilds, for each subset of lifted factors, whichever of it and its
-complement has degree at most deg(rest) / 2, and gates that side on its
-next-to-leading coefficient, which the same bound covers (Abbott, Shoup and
-Zimmermann 2000).
+The trace gate bounds the one coefficient of a factor that recombination
+needs first, its trace: with (s, G) = `_monic_scale`(f), s times the sum of
+the roots of a factor g of f is an integer of absolute value at most
+deg(g) * R, R = 2^(e + 1) the Fujiwara bound on the roots of G (Abbott,
+Shoup and Zimmermann 2000, van Hoeij 2002 use traces the same way).  On
+Phi_N(z, c) the scale s is small where lc f is not, so n * R has 7-15 bits
+against a Mignotte bound of 27-688.  So the modular factors are lifted
+first to p^l > 2 * n * R * 2^8 only, and if no subset of up to half of them
+passes the gate on its side of degree at most n / 2, f is irreducible;
+otherwise the same lift goes on to the full precision.
+
+The full lift stops at p^l > 2 * max(B, (n // 2) * R) with B = C(k, k // 2) *
+(isqrt(sum a_i^2) + 1), k = deg f // 2.  Every split rest = g * h of a
+divisor of f has one side of degree at most deg(rest) / 2 <= k; for that
+side, b * prod F_i = lc(h) * g mod p^l with b = lc(rest), and
+|lc(h) * g_j| <= C(deg g, j) M(rest) <= B (Mignotte 1974, Landau), so lc f
+plays no part.  Zassenhaus therefore rebuilds, for each subset of lifted
+factors, whichever of it and its complement has degree at most
+deg(rest) / 2, and gates that side on its trace, which holds for a factor
+of any divisor of f.
 
 The Hensel step runs on big-integer kernels of `polynomials`: each product
 is one Kronecker-substitution multiply (`_convolve`) and each long division
-mod p^k runs on one packed int (`_gf_divmod`).  The last step of a lift
-skips the Bezout update, since both halves restart from a pair mod p.
+mod p^k runs on one packed int (`_gf_divmod`).  The last step of every
+lift skips the Bezout update, which a lift that ends there never reads; a
+lift that goes on from trace precision makes it up first, so an input
+proven irreducible there never pays for it.
 """
 
 from __future__ import annotations
@@ -47,8 +61,8 @@ from itertools import combinations
 from math import comb, isqrt
 
 from .polynomials import (
-    Poly, _convolve, _gf_divmod, _gf_gcd, _gf_monic, _gf_mul, _gf_trunc, _slot_bytes,
-    _slot_pack, _slot_unpack, _trunc_sym, _zz_add, _zz_derivative, _zz_divmod,
+    Poly, _convolve, _gf_divmod, _gf_gcd, _gf_monic, _gf_mul, _gf_trunc, _monic_scale,
+    _slot_bytes, _slot_pack, _slot_unpack, _trunc_sym, _zz_add, _zz_derivative, _zz_divmod,
     _zz_normalize, _zz_primitive, _zz_sub,
 )
 from .rationals import primes
@@ -229,8 +243,9 @@ def _hensel_step(
 
     mm is m^2 or a divisor of it.  Requires h monic, so both divisions are
     exact mod mm and run there, where coefficients cannot grow; returns
-    (G, H, S, T) with H monic.  With bezout false the update of (s, t), five
-    products and one division, is skipped and S = T = None.
+    (G, H, S, T) with H monic.  With bezout false the update of (s, t) by
+    `_bezout_step`, five products and one division, is skipped and
+    S = T = None.
     """
     e = _trunc_sym(_zz_sub(f, _convolve(g, h)), mm)
     q, r = _gf_divmod(_convolve(s, e), h, mm)
@@ -239,28 +254,49 @@ def _hensel_step(
     big_h = _trunc_sym(_zz_add(h, r), mm)
     if not bezout:
         return big_g, big_h, None, None
-    b = _trunc_sym(_zz_sub(_zz_add(_convolve(s, big_g), _convolve(t, big_h)), [1]), mm)
-    c, d = _gf_divmod(_convolve(s, b), big_h, mm)
+    return big_g, big_h, *_bezout_step(mm, big_g, big_h, s, t)
+
+
+def _bezout_step(
+    mm: int, g: list[int], h: list[int], s: list[int], t: list[int],
+) -> tuple[list[int], list[int]]:
+    """(S, T) with S*g + T*h = 1 (mod mm) from s*g + t*h = 1 (mod m), mm | m^2, h monic."""
+    b = _trunc_sym(_zz_sub(_zz_add(_convolve(s, g), _convolve(t, h)), [1]), mm)
+    c, d = _gf_divmod(_convolve(s, b), h, mm)
     c, d = _trunc_sym(c, mm), _trunc_sym(d, mm)
     big_s = _trunc_sym(_zz_sub(s, d), mm)
-    big_t = _trunc_sym(_zz_sub(t, _zz_add(_convolve(t, b), _convolve(c, big_g))), mm)
-    return big_g, big_h, big_s, big_t
+    big_t = _trunc_sym(_zz_sub(t, _zz_add(_convolve(t, b), _convolve(c, g))), mm)
+    return big_s, big_t
 
 
-def _hensel_lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[list[int]]:
-    """Lift monic pairwise-coprime factors of f mod p to factors mod p^l.
+@dataclass
+class _Lift:
+    """One split f = g * h mod m of a Hensel lift, h monic, and its Bezout pair.
 
-    Returns monic integer polynomials F_i with f = lc(f) * prod F_i (mod p^l).
+    s * g + t * h = 1 holds mod m, or, once a lift has skipped its last
+    update, mod the modulus m_st before that step.  `left` and `right` split
+    g and h in turn, None at a single modular factor.
     """
-    r = len(facs)
-    lc = f[-1]
-    pl = p**l
-    if r == 1:
-        inv = pow(lc % pl, -1, pl)
-        return [_trunc_sym([c * inv for c in f], pl)]
-    m = p
-    k = r // 2
-    d = max(1, (l - 1).bit_length())  # ceil(log2(l)) quadratic steps reach p^l
+
+    m: int
+    m_st: int
+    g: list[int]
+    h: list[int]
+    s: list[int]
+    t: list[int]
+    left: _Lift | None
+    right: _Lift | None
+
+
+def _hensel_tree(p: int, lc: int, facs: list[list[int]]) -> _Lift | None:
+    """Splits mod p of lc * prod facs, for monic pairwise-coprime facs mod p.
+
+    Each split takes the first half of its factors against the rest, down to
+    single factors, with a Bezout pair mod p.
+    """
+    if len(facs) == 1:
+        return None
+    k = len(facs) // 2
     g: list[int] = [lc % p]
     for fac in facs[:k]:
         g = _gf_mul(g, fac, p)
@@ -268,13 +304,34 @@ def _hensel_lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[li
     for fac in facs[k:]:
         h = _gf_mul(h, fac, p)
     s, t = _gf_gcdex(g, h, p)
-    g, h = _trunc_sym(g, p), _trunc_sym(h, p)
-    s, t = _trunc_sym(s, p), _trunc_sym(t, p)
-    for step in range(d):
-        m = min(m * m, pl)  # the last step stops at p^l, not beyond it
-        # the last (s, t) would go unread: each half restarts from a Bezout pair mod p
-        g, h, s, t = _hensel_step(m, f, g, h, s, t, bezout=step < d - 1)
-    return _hensel_lift(p, g, facs[:k], l) + _hensel_lift(p, h, facs[k:], l)
+    return _Lift(p, p, _trunc_sym(g, p), _trunc_sym(h, p), _trunc_sym(s, p), _trunc_sym(t, p),
+                 _hensel_tree(p, lc, facs[:k]), _hensel_tree(p, 1, facs[k:]))
+
+
+def _hensel_lift(node: _Lift | None, f: list[int], pl: int) -> list[list[int]]:
+    """Lift the splits of f in node from the modulus they hold to pl = p^l.
+
+    Each split takes quadratic steps m -> min(m^2, pl), at least one, so a
+    tree fresh from `_hensel_tree` takes ceil(log2 l) steps per split (one at
+    l = 1).  The last step skips the Bezout update, which a lift that ends
+    there never reads; a tree lifted before goes on from where it stopped,
+    after that update (`_bezout_step`).  Returns monic integer polynomials
+    F_i with f = lc(f) * prod F_i (mod pl).
+    """
+    if node is None:
+        inv = pow(f[-1] % pl, -1, pl)
+        return [_trunc_sym([c * inv for c in f], pl)]
+    if node.m_st < node.m:
+        node.s, node.t = _bezout_step(node.m, node.g, node.h, node.s, node.t)
+        node.m_st = node.m
+    while True:
+        m = min(node.m * node.m, pl)
+        g, h, s, t = _hensel_step(m, f, node.g, node.h, node.s, node.t, bezout=m < pl)
+        node.g, node.h, node.m = g, h, m
+        if m == pl:
+            break
+        node.s, node.t, node.m_st = s, t, m
+    return _hensel_lift(node.left, node.g, pl) + _hensel_lift(node.right, node.h, pl)
 
 
 # -- Zassenhaus --------------------------------------------------------------
@@ -376,37 +433,129 @@ def _at_one_and_minus_one(g: list[int]) -> tuple[int, int]:
     return sum(g), sum(g[::2]) - sum(g[1::2])
 
 
+def _root_bound(big_g: list[int]) -> int:
+    """R = 2^(e + 1) for the least e >= 0 with |G_(n-i)| <= 2^(e * i), i = 1..n.
+
+    Every root u of the monic G has |u| <= 2 * max_i |G_(n-i)|^(1/i) <= R
+    (Fujiwara 1916).
+    """
+    n = len(big_g) - 1
+    e = 0
+    for i in range(1, n + 1):
+        if a := abs(big_g[n - i]):  # a <= 2^(e * i) iff e * i >= (a - 1).bit_length()
+            e = max(e, -(-(a - 1).bit_length() // i))
+    return 2 << e
+
+
+def _precision(p: int, bound: int) -> int:
+    """The least power p^l > bound, l >= 1."""
+    pl = p
+    while pl <= bound:
+        pl *= p
+    return pl
+
+
+_TRACE_MARGIN = 2**8
+"""How far the modulus of the trace-precision search exceeds 2 * n * R.
+
+The residue of a subset that is no factor is about uniform mod p^l, so it
+passes the trace gate with probability about 2 * deg(S) * R / p^l.  Each such
+pass costs the full lift; the margin keeps them rare.
+"""
+
+
+def _trace_gate(lifted: list[list[int]], side: list[int] | tuple[int, ...], scale: int,
+                roots: int, pl: int) -> bool:
+    """|sym(s * sum_X F_i[deg F_i - 1] mod p^l)| <= deg(X) * R for the lifted factors X in side.
+
+    The sign of the residue is dropped: the test is |s * sigma| <= deg(X) * R.
+    """
+    t = scale * sum(lifted[i][-2] for i in side) % pl
+    return min(t, pl - t) <= sum(len(lifted[i]) - 1 for i in side) * roots
+
+
+def _trace_search(lifted: list[list[int]], scale: int, roots: int, pl: int) -> bool:
+    """Whether some subset of up to half the lifted factors passes `_trace_gate`.
+
+    As in recombination, each subset is gated on whichever of it and its
+    complement has degree at most n / 2, the side with the tighter bound.
+    """
+    degrees = [len(u) - 1 for u in lifted]
+    indices = range(len(lifted))
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(indices, size):
+            if 2 * sum(degrees[i] for i in subset) > sum(degrees):
+                subset = tuple(i for i in indices if i not in subset)
+            if _trace_gate(lifted, subset, scale, roots, pl):
+                return True
+    return False
+
+
 def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree integer polynomial, lc > 0.
 
-    The factors F_i of f mod p are lifted to monic F_i mod p^l > 2B, B the
-    `_recombination_bound`.  With rest = lc(rest) * prod F_i over the indices
-    left and b = lc(rest), a true factor g of rest with cofactor h and lifted
-    factors X satisfies b * prod_X F_i = lc(h) * g mod p^l, whose coefficients
-    are at most B when deg g <= deg(rest) / 2.  So subsets S of up to half the
-    indices are enumerated by size, and each tests the side X of degree at
-    most deg(rest) / 2: S itself, or its complement when deg S > deg(rest) / 2.
-    X is skipped when |sym(b * sum_X F_i[deg F_i - 1] mod p^l)| > B, the
-    next-to-leading coefficient of lc(h) * g, or when q = sym(b * prod_X F_i(0)
-    mod p^l) does not divide b * rest(0), since q = lc(h) * g(0) and
-    b * rest(0) = q * lc(g) * h(0).  X's candidate c, the primitive part of
-    sym(b * prod_X F_i mod p^l), is skipped too unless c(a) divides rest(a)
-    for a = 1 and a = -1 (0 divides only 0), as a divisor of rest in Z[x]
-    must.  Otherwise c is tried by exact division.  When it divides, the side
-    of S goes to the factors: every smaller subset failed, so it is
-    irreducible.  The other side becomes rest and the indices drop S.
+    The trace gate.  Let (s, G) = `_monic_scale`(f): G is monic in Z[u] and
+    its roots are s * alpha for the roots alpha of f, all bounded by
+    R = `_root_bound`(G).  The trace sigma_g, the sum of the roots of a factor
+    g of f over Q, is rational, and s * sigma_g is a sum of roots of G, so an
+    algebraic integer: s * sigma_g is an integer with |s * sigma_g| <=
+    deg(g) * R.  s divides a power of lc f and p does not divide lc f, so p
+    does not divide s, the monic g is integral at p, and it is prod_X F_i
+    mod p^l for the set X of its lifted monic factors, whose coefficients of
+    degree deg F_i - 1 sum to -sigma_g mod p^l.  When p^l > 2 * deg(X) * R,
+    the symmetric residue of s times that sum is therefore -s * sigma_g
+    itself, and an X that fails |sym(...)| <= deg(X) * R (`_trace_gate`) is
+    no factor.  This holds for every factor of a divisor of f, whose roots
+    are roots of f, so it is the one exclusion test before the constant
+    term.  The scale s, not lc f, keeps R small: a periodic point alpha of
+    z^d + a/b has v_q(alpha) = -v_q(b) / d at each prime q | b, so on
+    Phi_N(z, c) (N = 6, h(c) <= 10; N = 7, h <= 3; N = 8, 9, h <= 2) s has
+    at most 4 bits where lc f has up to 253, and n * R takes 7-15 bits
+    against up to 266 with lc f in place of s.
+
+    The trace-precision search.  The factors of f mod p are first lifted only
+    to p^l > 2 * n * R * _TRACE_MARGIN, and every subset of up to half of them
+    is gated, on whichever of it and its complement has degree at most n / 2
+    (`_trace_search`).  If none passes, f is irreducible: one side of any
+    split f = g * h holds at most half the lifted factors, and both it and
+    its complement are factors, so it would pass.  A pass is no verdict: it
+    sends f on to the full precision below, and the same tree of splits is
+    lifted on from the trace precision.  The search is skipped when its
+    precision is not below the full one, as for small f.
+
+    At full precision the factors F_i are lifted to p^l > 2 * max(B,
+    (n // 2) * R), B the `_recombination_bound`, which also makes the trace
+    gate exact for any side of degree at most n / 2.  With rest = lc(rest) *
+    prod F_i over the indices left and b = lc(rest), a true factor g of rest
+    with cofactor h and lifted factors X satisfies b * prod_X F_i = lc(h) * g
+    mod p^l, whose coefficients are at most B when deg g <= deg(rest) / 2.
+    So subsets S of up to half the indices are enumerated by size, and each
+    tests the side X of degree at most deg(rest) / 2: S itself, or its
+    complement when deg S > deg(rest) / 2.  X is skipped when it fails the
+    trace gate, or when q = sym(b * prod_X F_i(0) mod p^l) does not divide
+    b * rest(0), since q = lc(h) * g(0) and b * rest(0) = q * lc(g) * h(0).
+    X's candidate c, the primitive part of sym(b * prod_X F_i mod p^l), is
+    skipped too unless c(a) divides rest(a) for a = 1 and a = -1 (0 divides
+    only 0), as a divisor of rest in Z[x] must.  Otherwise c is tried by
+    exact division.  When it divides, the side of S goes to the factors:
+    every smaller subset failed, so it is irreducible.  The other side
+    becomes rest and the indices drop S.
     """
     selected = _select_prime(f)
     if selected is None:
         return [list(f)]
     p, modular = selected
-    bound = _recombination_bound(f)
-    l = 1
-    pl = p
-    while pl <= 2 * bound:
-        pl *= p
-        l += 1
-    lifted = _hensel_lift(p, f, modular, l)
+    n = len(f) - 1
+    scale, big_g = _monic_scale(f)
+    roots = _root_bound(big_g)
+    pl = _precision(p, 2 * max(_recombination_bound(f), n // 2 * roots))
+    trace_pl = _precision(p, 2 * n * roots * _TRACE_MARGIN)
+    tree = _hensel_tree(p, f[-1], modular)
+    if trace_pl < pl:
+        lifted = _hensel_lift(tree, f, trace_pl)
+        if not _trace_search(lifted, scale, roots, trace_pl):
+            return [list(f)]
+    lifted = _hensel_lift(tree, f, pl)
     degrees = [len(u) - 1 for u in lifted]
 
     factors: list[list[int]] = []
@@ -421,8 +570,7 @@ def _zz_factor_squarefree(f: list[int]) -> list[list[int]]:
         for subset in combinations(indices, s):
             complement = 2 * sum(degrees[i] for i in subset) > len(rest) - 1
             side = [i for i in indices if i not in subset] if complement else subset
-            t = b * sum(lifted[i][-2] for i in side) % pl
-            if min(t, pl - t) > bound:
+            if not _trace_gate(lifted, side, scale, roots, pl):
                 continue
             q = b
             for i in side:

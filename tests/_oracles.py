@@ -25,18 +25,20 @@ to `mignotte_bound`, s * 2^n * max|a| * |lc f|, and rebuilt subsets of up
 to half the modular factors whatever their degree, with only the
 trailing-coefficient prune; `factorq` now lifts to a half-degree bound,
 rebuilds the side of degree at most deg(rest) / 2 and gates it on its
-next-to-leading coefficient.  `half_period_conjugate` is the quadratic
-fast path as `property_a.check_quadratic_cycle` ran it before it compared
-the half-period iterate with -p - z directly: it conjugates the start's
+trace.  `half_period_conjugate` is the quadratic fast path as
+`property_a.check_quadratic_cycle` ran it before it compared the
+half-period iterate with -p - z directly: it conjugates the start's
 representative a + b*z to (a - b*p) - b*z and takes the class of that.
 `lift_common_denominator` is the Fraction-input lift with a scale s that
 `Poly` division and `QuotientAlgebra.element` ran before both lifted the
 stored integer numerators, and `fraction_mul` is the schoolbook product over
 Fraction that `Poly.__mul__` replaced with one integer convolution.
 `is_stored_form` spells out the stored form of `Poly` and `AlgElement`.
-`gated_factor_squarefree` is the recombination as `factorq` ran it before it
-pruned candidates by their values at 1 and -1, so every gated candidate is
-tried by division, and `expand` multiplies a `Factorization` back out; no
+`gated_factor_squarefree` is the recombination as `factorq` ran it before
+the trace gate replaced the next-to-leading coefficient gate, with no search
+at trace precision; by default also without the prune by the values at 1 and
+-1, so every gated candidate is tried by division, and with that prune the
+loop exactly as it was.  `expand` multiplies a `Factorization` back out; no
 code in the package needs that product.  The package needs none of the
 three references that left it as `maps.iterate`, `BiPoly.evaluate_c` and
 `cycles.orbit_in_algebra` either: `iterate` runs h = h^d + c from h = z
@@ -68,7 +70,8 @@ from dynatomic.errors import (
     PolynomialZeroDivisionError,
 )
 from dynatomic.factorq import (
-    Factorization, _gf_pow_mod, _hensel_lift, _recombination_bound, _select_prime,
+    Factorization, _at_one_and_minus_one, _gf_pow_mod, _hensel_lift, _hensel_tree,
+    _recombination_bound, _select_prime,
 )
 from dynatomic.maps import MapSpec
 from dynatomic.numberfield import AlgElement, QuotientAlgebra, minimal_polynomial
@@ -452,6 +455,11 @@ def mignotte_bound(f: list[int]) -> int:
     return s * (1 << n) * a * abs(f[-1])
 
 
+def _lift(p: int, f: list[int], facs: list[list[int]], l: int) -> list[list[int]]:
+    """`factorq`'s lift of the monic factors facs of f mod p straight to p^l."""
+    return _hensel_lift(_hensel_tree(p, f[-1], facs), f, p**l)
+
+
 def full_bound_factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree integer polynomial, lc > 0.
 
@@ -470,7 +478,7 @@ def full_bound_factor_squarefree(f: list[int]) -> list[list[int]]:
     while pl <= 2 * bound:
         pl *= p
         l += 1
-    lifted = _hensel_lift(p, f, modular, l)
+    lifted = _lift(p, f, modular, l)
 
     factors: list[list[int]] = []
     rest = list(f)
@@ -505,14 +513,16 @@ def full_bound_factor_squarefree(f: list[int]) -> list[list[int]]:
     return factors
 
 
-def gated_factor_squarefree(f: list[int]) -> list[list[int]]:
+def gated_factor_squarefree(f: list[int], values_prune: bool = False) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree integer polynomial, lc > 0.
 
-    The recombination of `factorq._zz_factor_squarefree` without its prune by
-    the values at 1 and -1: lifts to p^l > 2 * `_recombination_bound`(f),
-    rebuilds the side of each subset of degree at most deg(rest) / 2 and
-    tries by exact division every side that passes the next-to-leading
-    coefficient gate and the trailing-coefficient prune.
+    The recombination of `factorq._zz_factor_squarefree` before its trace
+    gate: lifts to p^l > 2 * `_recombination_bound`(f) at once, rebuilds the
+    side of each subset of degree at most deg(rest) / 2 and tries by exact
+    division every side that passes the next-to-leading coefficient gate
+    |sym(b * sum_X F_i[deg F_i - 1] mod p^l)| <= B, b = lc(rest), and the
+    trailing-coefficient prune; with values_prune, also only sides whose
+    candidate's values at 1 and -1 divide rest's.
     """
     selected = _select_prime(f)
     if selected is None:
@@ -524,7 +534,7 @@ def gated_factor_squarefree(f: list[int]) -> list[list[int]]:
     while pl <= 2 * bound:
         pl *= p
         l += 1
-    lifted = _hensel_lift(p, f, modular, l)
+    lifted = _lift(p, f, modular, l)
     degrees = [len(u) - 1 for u in lifted]
 
     factors: list[list[int]] = []
@@ -535,6 +545,7 @@ def gated_factor_squarefree(f: list[int]) -> list[list[int]]:
         found = False
         b = rest[-1]
         btc = b * rest[0]
+        values = _at_one_and_minus_one(rest)
         for subset in combinations(indices, s):
             complement = 2 * sum(degrees[i] for i in subset) > len(rest) - 1
             side = [i for i in indices if i not in subset] if complement else subset
@@ -551,6 +562,9 @@ def gated_factor_squarefree(f: list[int]) -> list[list[int]]:
             for i in side:
                 cand = _convolve(cand, lifted[i])
             cand = _zz_primitive(_trunc_sym(cand, pl))
+            at_units = _at_one_and_minus_one(cand)
+            if values_prune and any(v % u if u else v for v, u in zip(values, at_units)):
+                continue
             divided = _zz_divmod(rest, cand)
             if divided is not None and not divided[1]:
                 other = _zz_primitive(divided[0])

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, takewhile
 from math import ceil, log2
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -14,13 +15,13 @@ from dynatomic.factorq import (
 )
 from dynatomic.maps import MapSpec, dynatomic_poly
 from dynatomic.polynomials import (
-    _STRUCT_CODES, Poly, _convolve, _slot_bytes, _slot_unpack, _zz_divmod,
+    _STRUCT_CODES, Poly, _convolve, _monic_scale, _slot_bytes, _slot_unpack, _zz_divmod,
 )
 from dynatomic.rationals import enumerate_rationals_by_height, primes
 from _oracles import (
     brute_force_irreducible, clustering_factor_candidates, expand, full_bound_factor_squarefree,
-    gated_factor_squarefree, list_frobenius_rows, list_nullspace_basis, naive_gcd,
-    resultant_mod_p,
+    gated_factor_squarefree, high_precision_roots, list_frobenius_rows, list_nullspace_basis,
+    naive_gcd, resultant_mod_p,
 )
 
 Z = Poly.identity()
@@ -205,7 +206,7 @@ def _divisions_tried(module, run, part):
 
 
 class TestRecombination:
-    """Zassenhaus on the half-degree bound, the complement rule and the d-1 gate."""
+    """Zassenhaus on the half-degree bound, the complement rule and the trace gate."""
 
     @settings(max_examples=60, deadline=None)
     @given(_products())
@@ -243,7 +244,7 @@ class TestRecombination:
 
     def test_values_at_one_and_minus_one_prune_before_trial_division(self):
         # most gated candidates of Phi_6(z, 0) that do not divide rest take a
-        # value at 1 or -1 that does not divide rest's (47 divisions -> 8)
+        # value at 1 or -1 that does not divide rest's (47 divisions -> 4)
         (part,) = _squarefree_parts(dynatomic_poly(MapSpec(2, Fraction(0)), 6))
         got, tried = _divisions_tried(factorq, _zz_factor_squarefree, part)
         want, oracle_tried = _divisions_tried(_oracles, gated_factor_squarefree, part)
@@ -408,12 +409,26 @@ class TestHenselStep:
         for l in range(1, 10**4 + 1):
             moduli.clear()
             updates.clear()
-            factorq._hensel_lift(2, [0, 1, 1], [[0, 1], [1, 1]], l)
+            tree = factorq._hensel_tree(2, 1, [[0, 1], [1, 1]])
+            factorq._hensel_lift(tree, [0, 1, 1], 1 << l)
             assert len(moduli) == (ceil(log2(l)) if l > 1 else 1)
             top = 1 << l
             assert moduli[-1] == top and (len(moduli) == 1 or moduli[-2] < top)
-            # only the last step, whose (s, t) nobody reads, skips the Bezout update
+            # only the last step skips the Bezout update: a later lift of the tree makes it up
             assert updates == [True] * (len(updates) - 1) + [False]
+
+    @pytest.mark.parametrize("c, n", [("-2", 6), ("1/2", 7), ("-71/48", 6)])
+    def test_a_lift_goes_on_from_where_it_stopped(self, c, n):
+        # a lift leaves each Bezout pair one update behind and the next lift
+        # makes it up, so a tree lifted to p^a and then on to p^b gives the
+        # factors of a fresh lift to p^b
+        f = _phi_part(c, n)
+        p, modular = _select_prime(f)
+        fresh = lambda l: factorq._hensel_lift(factorq._hensel_tree(p, f[-1], modular), f, p**l)
+        for a, b in [(1, 2), (3, 7), (5, 40), (9, 17)]:
+            tree = factorq._hensel_tree(p, f[-1], modular)
+            assert factorq._hensel_lift(tree, f, p**a) == fresh(a)
+            assert factorq._hensel_lift(tree, f, p**b) == fresh(b)
 
     def test_last_step_factors_do_not_need_the_bezout_update(self):
         from dynatomic.factorq import _gf_gcdex, _hensel_step
@@ -853,3 +868,135 @@ class TestStickelberger:
                 for a in roots:
                     want = want * sum(c * a**i for i, c in enumerate(g)) % p
                 assert resultant_mod_p(f, g, p) == want
+
+
+def _trace_lift(f, margin):
+    """`_trace_search`'s arguments: f's factors lifted to p^l > 2 * n * R * margin, s, R, p^l."""
+    p, modular = _select_prime(f)
+    scale, big_g = _monic_scale(f)
+    roots = factorq._root_bound(big_g)
+    pl = factorq._precision(p, 2 * (len(f) - 1) * roots * margin)
+    lifted = factorq._hensel_lift(factorq._hensel_tree(p, f[-1], modular), f, pl)
+    return lifted, scale, roots, pl
+
+
+def _spy_lifts(monkeypatch, f):
+    """The modulus p^l of each lift of f itself, not of its splits, from now on."""
+    lifts = []
+    lift = factorq._hensel_lift
+
+    def spy(node, g, pl):
+        if g == f:
+            lifts.append(pl)
+        return lift(node, g, pl)
+
+    monkeypatch.setattr(factorq, "_hensel_lift", spy)
+    return lifts
+
+
+@st.composite
+def _wide_pairs(draw):
+    """(g, h) of degree 1 to 3 with leading coefficients up to 2^64 and roots up to about 2^40."""
+    def part():
+        lead = draw(st.one_of(st.integers(1, 4), st.integers(1, 2**64)))
+        return [draw(st.integers(-(2**40), 2**40)) for _ in range(draw(st.integers(1, 3)))] + [lead]
+
+    return part(), part()
+
+
+# reducible, so the trace search must find a subset; Phi_4(z, 0) and
+# Phi_3(z, -2) are small enough that factoring skips the search itself
+REDUCIBLE = [(0, 4), (-2, 3), (-2, 5), (0, 6), (-2, 6)]
+
+
+class TestTracePrecision:
+    """The trace gate and the search at trace precision that proves irreducibility."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_wide_pairs())
+    def test_scaled_traces_are_bounded_integers(self, pair):
+        # s * sigma_g is a rational algebraic integer, so an integer, and R
+        # bounds every root s * alpha of G: each side's trace is within deg * R
+        g, h = pair
+        f = _convolve(g, h)
+        scale, big_g = _monic_scale(f)
+        roots = factorq._root_bound(big_g)
+        for side in (g, h):
+            trace = scale * Fraction(-side[-2], side[-1])
+            assert trace.denominator == 1
+            assert abs(trace) <= (len(side) - 1) * roots
+            for alpha in high_precision_roots(Poly(side)):
+                assert scale * abs(alpha) <= roots * (1 + mpmath.mpf(10) ** -40)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_pairs())
+    def test_the_search_finds_a_true_factor_at_the_least_precision(self, pair):
+        # with no margin at all, p^l > 2 * n * R still makes the gate exact
+        for part in _squarefree_parts(Poly(_convolve(*pair))):
+            if _select_prime(part) is not None and len(_zz_factor_squarefree(part)) > 1:
+                assert factorq._trace_search(*_trace_lift(part, 1))
+
+    @pytest.mark.parametrize("c, n", REDUCIBLE)
+    @pytest.mark.parametrize("margin", [1, factorq._TRACE_MARGIN])
+    def test_a_reducible_input_is_never_proven_irreducible(self, c, n, margin):
+        f = _phi_part(c, n)
+        assert factorq._trace_search(*_trace_lift(f, margin))
+        assert len(_zz_factor_squarefree(f)) > 1
+
+    def test_a_false_pass_runs_the_full_lift(self, monkeypatch):
+        # Phi_4(z, -3/5) is irreducible and splits into degrees 4 and 8 mod 7;
+        # without the margin the wrong side passes at trace precision, so f
+        # goes on to the full precision, and the full loop still finds no factor
+        f = _phi_part("-3/5", 4)
+        trace_pl = {margin: _trace_lift(f, margin)[3] for margin in (1, factorq._TRACE_MARGIN)}
+        assert not factorq._trace_search(*_trace_lift(f, factorq._TRACE_MARGIN))
+        lifts = _spy_lifts(monkeypatch, f)
+        assert _zz_factor_squarefree(f) == [f]
+        assert lifts == [trace_pl[factorq._TRACE_MARGIN]]
+
+        monkeypatch.setattr(factorq, "_TRACE_MARGIN", 1)
+        assert factorq._trace_search(*_trace_lift(f, 1))
+        del lifts[:]
+        assert _zz_factor_squarefree(f) == [f]
+        first, full = lifts
+        assert first == trace_pl[1]
+        assert full > 2 * _recombination_bound(f)
+
+    def test_each_subset_is_gated_on_its_side_of_degree_at_most_half(self):
+        # Phi_5(z, -1/2) splits into degrees 5 and 25 mod 11; even without the
+        # margin the degree-5 side fails the gate, while the degree-25 side,
+        # gated on its own looser bound 25 * R, would pass
+        f = _phi_part("-1/2", 5)
+        lifted, scale, roots, pl = _trace_lift(f, 1)
+        assert sorted(len(u) - 1 for u in lifted) == [5, 25]
+        small, large = sorted(range(2), key=lambda i: len(lifted[i]))
+        assert not factorq._trace_gate(lifted, [small], scale, roots, pl)
+        assert factorq._trace_gate(lifted, [large], scale, roots, pl)
+        assert not factorq._trace_search(lifted, scale, roots, pl)
+
+    def test_factor_lists_match_both_oracles_on_phi_grids(self):
+        cells = [(c, 6) for c in enumerate_rationals_by_height(5)]
+        cells += [(c, 7) for c in enumerate_rationals_by_height(2)]
+        assert len(cells) == 46
+        for c, n in cells:
+            for part in _squarefree_parts(dynatomic_poly(MapSpec(2, c), n)):
+                got = sorted(_zz_factor_squarefree(part))
+                assert got == sorted(full_bound_factor_squarefree(part)), (c, n)
+                assert got == sorted(gated_factor_squarefree(part, values_prune=True)), (c, n)
+
+    @pytest.mark.parametrize("c, n, expected", PINNED)
+    def test_no_more_trial_divisions_than_the_gated_loop(self, c, n, expected):
+        # the trace gate replaced the gate on b * sum F_i[deg F_i - 1] against B
+        part = _phi_part(c, n)
+        got, tried = _divisions_tried(factorq, _zz_factor_squarefree, part)
+        run = lambda f: gated_factor_squarefree(f, values_prune=True)
+        want, oracle_tried = _divisions_tried(_oracles, run, part)
+        assert got == want
+        assert tried <= oracle_tried
+
+    def test_root_bound_is_the_least_power_of_two_form(self):
+        # R = 2^(e + 1) for the least e with |G_(n-i)| <= 2^(e * i)
+        assert factorq._root_bound([0, 1]) == 2
+        assert factorq._root_bound([-4, 0, 1]) == 4  # |G_0| = 4 = 2^(1 * 2)
+        assert factorq._root_bound([-5, 0, 1]) == 8  # 5 > 2^2, so e = 2
+        assert factorq._root_bound([1, 2**10 + 1, 1]) == 2**12
