@@ -4,12 +4,18 @@
 as integer numerators by power over one denominator (`_Scaled`).  `BiPoly` is a
 polynomial in z whose coefficients are `Poly` objects in c, i.e. Q[c][z].
 
-Multiplication convolves the numerators as machine-free Python ints; division
-over Q rescales z so that the divisor becomes monic in Z[x] and runs the Z[x]
-long division.  Below the
-classes sits the one list kernel for Z[x] and F_p[x]: gcds in Z[x] are built
-from F_p images by the Chinese remainder theorem and proved by exact
-division, and Yun's squarefree split runs on primitive integer forms.
+Multiplication convolves the numerators as machine-free Python ints, by one
+Kronecker-substitution product, or term by term against the packed long
+operand when a short operand with narrow entries meets a long one with wide
+entries (at most 64 terms against 8 times as many, entries 8 times and 256
+bits wider: `_convolve`).  `divmod` over Q rescales z so that the divisor
+becomes monic in Z[x] and runs the Z[x] long division.  `exact_div` needs no
+rescaling: by Gauss's lemma a primitive divisor that divides exactly over Q
+divides exactly in Z[x], so it divides the numerators by the divisor's
+primitive part once.  Below the classes sits the one list kernel for Z[x]
+and F_p[x]: gcds in Z[x] are built from F_p images by the Chinese remainder
+theorem and proved by exact division, and Yun's squarefree split runs on
+primitive integer forms.
 Everything is exact; nothing here ever rounds.
 """
 
@@ -81,6 +87,20 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     bitlen(max|b|) + bitlen(min(len a, len b)) + 1, so with slots of
     `_slot_bytes(2^w - 1)` bytes and the bias 2^(8*nb - 1) added to each, c
     comes back from its own slot.
+
+    A lopsided pair skips packing its short operand: when the short one has
+    at most 64 terms, the long one at least 8 times as many, and the long
+    one's entries are at least 8 times as wide and 256 bits, the packed long
+    operand Y is multiplied by each short term, sum short_i * Y * 2^(8*nb*i).
+    Each step multiplies Y by one narrow entry, where CPython runs the one
+    Kronecker product of such a pair slowly.  Measured on a 2-core VM
+    (Python 3.11.7, least of 3-7 runs): the product identity's 34 x 697 terms
+    at 41 against 895 bits (Phi_1 Phi_2 Phi_3 times Phi_6, d = 3) took 3.1 ms
+    against 7.6 by Kronecker substitution and 5.6 by the schoolbook loop.  On
+    a grid of 8-128 short terms, length ratios 2-32 and 8-4096 bits, the loop
+    took 0.25-0.82 of the Kronecker time at all 138 shapes inside the bounds;
+    outside them it lost by up to 50 % at 128 terms, 20 % at 64 terms of 8
+    against 64 bits and 8 % at 64 x 96 terms of 128 against 1024 bits.
     """
     if not a or not b:
         return []
@@ -99,12 +119,20 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         out = [0] * n
         out[: g * (len(part) - 1) + 1 : g] = part
         return out
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-    nb = _slot_bytes((1 << bits + min(len(a), len(b)).bit_length() + 1) - 1)  # 2^w - 1
+    short, long = (a, b) if len(a) <= len(b) else (b, a)
+    s_bits, l_bits = max(map(abs, short)).bit_length(), max(map(abs, long)).bit_length()
+    nb = _slot_bytes((1 << s_bits + l_bits + len(short).bit_length() + 1) - 1)  # 2^w - 1
     half = 1 << (8 * nb - 1)
-    x = _slot_pack([c + half for c in a], nb) - _ks_bias(len(a), nb)
-    y = x if b is a else _slot_pack([c + half for c in b], nb) - _ks_bias(len(b), nb)
-    return [c - half for c in _slot_unpack(x * y + _ks_bias(n, nb), n, nb)]
+    y = _slot_pack([c + half for c in long], nb) - _ks_bias(len(long), nb)
+    if len(short) <= 64 and len(long) >= 8 * len(short) and l_bits >= max(8 * s_bits, 256):
+        w, x = 8 * nb, 0
+        for c in reversed(short):  # Horner in 2^w: x = sum short_i * y * 2^(w*i)
+            x = (x << w) + c * y
+    elif short is long:
+        x = y * y
+    else:
+        x = y * (_slot_pack([c + half for c in short], nb) - _ks_bias(len(short), nb))
+    return [c - half for c in _slot_unpack(x + _ks_bias(n, nb), n, nb)]
 
 
 def _exponent_gcd(a: Sequence[int], g: int) -> int:
@@ -394,13 +422,28 @@ class Poly(_Scaled):
         return divmod(self, other)[1]
 
     def exact_div(self, other: Poly) -> Poly:
-        """Quotient when the division is exact; raises NonExactDivisionError otherwise."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
+        """Quotient when the division is exact; raises NonExactDivisionError otherwise.
+
+        One division in Z[z], with no rescaling: write other = c_G*G/den(other)
+        with G primitive and lc G > 0.  By Gauss's lemma G divides the
+        numerators F of self in Q[z] exactly when F = Q*G with Q in Z[z], and
+        `_zz_divmod(F, G)` finds that Q or fails (a fractional quotient
+        coefficient or a nonzero remainder).  The quotient is then
+        Q*den(other)/(den(self)*c_G).  Only a failure runs `divmod`, to name
+        the remainder's degree.
+        """
+        other = Poly._coerce(other)
+        if other.is_zero():
+            raise PolynomialZeroDivisionError("polynomial division by zero")
+        big_g = _zz_primitive(list(other._nums))
+        qr = _zz_divmod(self._nums, big_g)
+        if qr is None or qr[1]:
+            r = divmod(self, other)[1]
             raise NonExactDivisionError(
                 f"remainder of degree {r.degree()} in supposedly exact division"
             )
-        return q
+        c_g = other._nums[-1] // big_g[-1]  # the signed content
+        return Poly._make([c * other._den for c in qr[0]], self._den * c_g)
 
     # -- squarefree --------------------------------------------------------
 

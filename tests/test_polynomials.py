@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dynatomic import polynomials
+from dynatomic import factorq, polynomials
 from dynatomic.errors import (
     DegreeGuardError,
     NonExactDivisionError,
@@ -31,12 +31,14 @@ from dynatomic.polynomials import (
     _zz_gcd,
     _zz_sub,
 )
-from dynatomic.factorq import factor_over_q
+from dynatomic.factorq import _zz_factor_squarefree, factor_over_q
+from dynatomic.maps import MapSpec, dynatomic_poly, verify_product_identity
 from dynatomic.numberfield import AlgElement, QuotientAlgebra
 from _oracles import (
     evaluate_c, expand, fraction_divmod, fraction_mul, is_stored_form, lazy_gf_divmod,
     naive_gcd, schoolbook_convolve,
 )
+from test_factorq import PINNED, _phi_part
 
 Z = Poly.identity()
 
@@ -233,6 +235,70 @@ class TestScaledDivision:
                 (q * g + r).exact_div(g)
 
 
+exact_rationals = st.builds(Fraction, st.integers(-(10**9), 10**9), st.sampled_from([1, 2, 48, 77, 3**9]))
+
+
+@st.composite
+def exact_divisors(draw):
+    """A nonzero divisor whose numerators have content k > 1 (coprime to every denominator
+    drawn), often a negative leading coefficient, and degree 0 to 5: constants included."""
+    low = draw(st.lists(exact_rationals, max_size=5))
+    lc = draw(exact_rationals.filter(bool))
+    k = draw(st.sampled_from([5, 13 * 17 * 19, 5**30]))
+    sign = draw(st.sampled_from([1, -1]))
+    return Poly([c * k for c in low] + [sign * k * abs(lc)])
+
+
+class TestGaussDivision:
+    """`exact_div` is one division in Z[z] by the primitive part of the divisor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.lists(exact_rationals, max_size=12).map(Poly), g=exact_divisors())
+    @example(q=Poly.zero(), g=Poly.constant(-10))
+    @example(q=Z**3 * Fraction(7, 48) - Fraction(1, 77), g=Poly.constant(Fraction(-5, 3**9)))
+    @example(q=Z + Fraction(1, 2), g=Z**2 * -15 + Fraction(5, 48))
+    def test_matches_fraction_division(self, q, g):
+        f = q * g
+        want, rem = fraction_divmod(f, g)
+        assert rem.is_zero() and want == q
+        got = f.exact_div(g)
+        assert got == want and is_stored_form(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.lists(exact_rationals, max_size=8).map(Poly), g=exact_divisors(),
+           r=st.lists(exact_rationals, min_size=1, max_size=6).map(Poly))
+    def test_a_remainder_still_raises(self, q, g, r):
+        r = fraction_divmod(r, g)[1]
+        assume(r)  # nonzero, of degree below deg g
+        with pytest.raises(NonExactDivisionError, match=f"remainder of degree {r.degree()} "):
+            (q * g + r).exact_div(g)
+
+    @pytest.mark.parametrize("f, g", [
+        (Z, 2 * Z + 1),  # a fractional quotient coefficient stops the Z[z] division
+        (Z**2 + 1, Z - 1),  # integral quotient, nonzero remainder
+        (Z + 1, Z**2 * Fraction(-1, 2)),  # deg f < deg g
+    ])
+    def test_non_exact_inputs_raise(self, f, g):
+        with pytest.raises(NonExactDivisionError):
+            f.exact_div(g)
+
+    def test_the_exact_path_neither_rescales_nor_runs_divmod(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("exact_div left its one integer division")
+
+        monkeypatch.setattr(Poly, "__divmod__", fail)
+        monkeypatch.setattr(polynomials, "_monic_scale", fail)
+        monkeypatch.setattr(polynomials, "_scaled_lift", fail)
+        monkeypatch.setattr(polynomials, "_unscale", fail)
+        f, g = Z**4 * Fraction(-3, 77) + Fraction(5, 2), Z**2 * Fraction(-6, 48) + 35
+        assert (f * g).exact_div(g) == f
+        assert f.exact_div(Poly.constant(Fraction(-10, 3**9))) == f * Fraction(-3**9, 10)
+        assert dynatomic_poly(MapSpec(3, Fraction(-10, 9)), 6).degree() == 696
+        z, c = BiPoly.identity(), BiPoly.parameter()
+        numerator, denominator = z**4 + (c + c) * z * z - z + c * c + c, z * z - z + c
+        assert numerator.exact_div(denominator) == z * z + z + c + 1
+
+
 # small integer vectors cancel often: sums with trailing zeros, zero products, den = 1
 any_polys = polys | st.lists(st.integers(-3, 3) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]),
                              max_size=5).map(Poly)
@@ -413,6 +479,134 @@ class TestIntegerKernel:
             g[-1] += 1
         f = f + [0] * pad  # trailing zeros lengthen the quotient loop, not the quotient
         assert _gf_divmod(f, g, p) == lazy_gf_divmod(f, g, p)
+
+
+def packed_paths(run):
+    """(len short, len long, path) of each `_convolve` call that packs slots while run() runs.
+
+    The path is "per-term" when only the long operand was packed and
+    "kronecker" when both were (or the one operand of a square).
+    """
+    paths, open_calls = [], []
+    convolve, pack = polynomials._convolve, polynomials._slot_pack
+
+    def convolve_spy(a, b):
+        open_calls.append(0)
+        try:
+            return convolve(a, b)
+        finally:
+            packed = open_calls.pop()
+            if packed:
+                path = "per-term" if packed == 1 and a is not b else "kronecker"
+                paths.append((min(len(a), len(b)), max(len(a), len(b)), path))
+
+    def pack_spy(vals, nb):
+        if open_calls:
+            open_calls[-1] += 1
+        return pack(vals, nb)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (polynomials, factorq):
+            mp.setattr(module, "_convolve", convolve_spy)
+        mp.setattr(polynomials, "_slot_pack", pack_spy)
+        run()
+    return paths
+
+
+def lopsided(short_len, long_len, s_bits, l_bits, seed=0, zeros=0.0):
+    """A short and a long operand, signs mixed, each with an entry of exactly the stated
+    width; a share `zeros` of the other entries is 0, but never the long one's z term."""
+    rng = random.Random(seed)
+    ops = []
+    for n, bits in ((short_len, s_bits), (long_len, l_bits)):
+        op = [0 if rng.random() < zeros else rng.choice((1, -1)) * rng.getrandbits(bits)
+              for _ in range(n)]
+        op[rng.randrange(n)] = rng.choice((1, -1)) * (1 << bits - 1 | rng.getrandbits(bits - 1))
+        ops.append(op)
+    ops[1][1] = ops[1][1] or 1  # keeps the exponent gcd at 1
+    return ops
+
+
+@st.composite
+def lopsided_operands(draw):
+    """A short operand of 8-64 terms with narrow entries against one at least 8 times longer
+    with entries at least 8 times (and 256 bits) wider, or just across one of those thresholds;
+    either order, dense or with zeros."""
+    short_len = draw(st.integers(8, 64) | st.sampled_from([8, 64, 65]))
+    long_len = draw(st.integers(8 * short_len, 10 * short_len) | st.just(8 * short_len - 1))
+    s_bits = draw(st.integers(1, 48))
+    wide = max(8 * s_bits, 256)
+    l_bits = draw(st.integers(wide, wide + 700) | st.sampled_from([8 * s_bits - 1, 255]))
+    a, b = lopsided(short_len, long_len, s_bits, l_bits, draw(st.integers(0, 2**32)),
+                    draw(st.sampled_from([0.0, 0.0, 0.5])))
+    return [b, a] if draw(st.booleans()) else [a, b]
+
+
+# (short len, long len, short bits, long bits) just inside and just outside each threshold
+RULE_EDGES = [
+    ((64, 512, 30, 256), "per-term"), ((65, 520, 30, 256), "kronecker"),  # short length <= 64
+    ((32, 256, 40, 320), "per-term"), ((32, 255, 40, 320), "kronecker"),  # long length >= 8 * short
+    ((32, 256, 40, 319), "kronecker"),  # long bits >= 8 * short bits
+    ((16, 128, 8, 256), "per-term"), ((16, 128, 8, 255), "kronecker"),  # and >= 256
+]
+
+
+class TestLopsidedProducts:
+    """The per-term loop of `_convolve`: a short narrow operand against a long wide one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=lopsided_operands())
+    @example(ops=lopsided(*RULE_EDGES[0][0]))
+    @example(ops=lopsided(*RULE_EDGES[1][0]))
+    @example(ops=lopsided(*RULE_EDGES[2][0]))
+    @example(ops=lopsided(*RULE_EDGES[3][0]))
+    @example(ops=lopsided(*RULE_EDGES[4][0]))
+    @example(ops=lopsided(*RULE_EDGES[5][0]))
+    @example(ops=lopsided(*RULE_EDGES[6][0]))
+    def test_matches_schoolbook(self, ops):
+        a, b = ops
+        assert _convolve(a, b) == schoolbook_convolve(a, b)
+
+    @pytest.mark.parametrize("shape, path", RULE_EDGES, ids=str)
+    def test_the_rule_fires_inside_its_thresholds_only(self, shape, path):
+        a, b = lopsided(*shape)
+        for x, y in ((a, b), (b, a)):
+            assert packed_paths(lambda: polynomials._convolve(x, y)) == [(shape[0], shape[1], path)]
+
+    def test_the_per_term_loop_asks_for_the_stated_slot_bound(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(polynomials, "_slot_bytes", lambda b: asked.append(b) or _slot_bytes(b))
+        a, b = lopsided(34, 697, 41, 895)
+        _convolve(a, b)
+        assert asked == [2 ** (41 + 895 + (34).bit_length() + 1) - 1]
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_extreme_slots(self, n):
+        # every product coefficient at its extreme, as in test_convolve_extreme_slots,
+        # with the long operand at the least width the per-term loop takes and one bit more
+        for k in (1, 7, 8, 31, 32):
+            for m in (2**k - 1, 2**k):
+                wide = max(8 * m.bit_length(), 256)
+                for big in (2**wide - 1, 2**wide):
+                    for a, b in (([m] * n, [big] * 8 * n), ([m] * n, [-big] * 8 * n),
+                                 ([-m] * n, [big, -big] * 4 * n)):
+                        paths = packed_paths(lambda: polynomials._convolve(a, b))
+                        assert paths == [(n, 8 * n, "per-term")]
+                        assert _convolve(a, b) == schoolbook_convolve(a, b)
+
+    def test_product_identity_alone_takes_the_per_term_loop(self):
+        # the 34 x 697 product of Phi_1 Phi_2 Phi_3 by Phi_6 at d = 3; the chain's cube
+        # phi^6 = (phi^5)^2 * phi^5, 163 x 82 after the exponent gcd 3, and every product
+        # of factoring the pinned cells stay on Kronecker substitution
+        spec, holds = MapSpec(3, Fraction(-10, 9)), []
+        got = packed_paths(lambda: holds.append(verify_product_identity(spec, 6)))
+        assert holds == [True]
+        assert {path for *shape, path in got if shape == [34, 697]} == {"per-term"}
+        assert {path for *shape, path in got if shape == [82, 163]} == {"kronecker"}
+        assert {path for *shape, path in got if shape != [34, 697]} == {"kronecker"}
+        for c, n, _ in PINNED:
+            got = packed_paths(lambda: _zz_factor_squarefree(_phi_part(c, n)))
+            assert got and {path for *_, path in got} == {"kronecker"}
 
 
 class TestGcd:
