@@ -432,18 +432,20 @@ class Poly(_Scaled):
         Q*den(other)/(den(self)*c_G).  Only a failure runs `divmod`, to name
         the remainder's degree.
         """
-        other = Poly._coerce(other)
-        if other.is_zero():
+        g = Poly._coerce(other)
+        if g is NotImplemented:
+            raise TypeError(f"cannot divide a Poly by {type(other).__name__}")
+        if g.is_zero():
             raise PolynomialZeroDivisionError("polynomial division by zero")
-        big_g = _zz_primitive(list(other._nums))
+        big_g = _zz_primitive(list(g._nums))
         qr = _zz_divmod(self._nums, big_g)
         if qr is None or qr[1]:
-            r = divmod(self, other)[1]
+            r = divmod(self, g)[1]
             raise NonExactDivisionError(
                 f"remainder of degree {r.degree()} in supposedly exact division"
             )
-        c_g = other._nums[-1] // big_g[-1]  # the signed content
-        return Poly._make([c * other._den for c in qr[0]], self._den * c_g)
+        c_g = g._nums[-1] // big_g[-1]  # the signed content
+        return Poly._make([c * g._den for c in qr[0]], self._den * c_g)
 
     # -- squarefree --------------------------------------------------------
 

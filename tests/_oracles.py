@@ -9,7 +9,8 @@ the span computation in `numberfield.subfield_degree`.  The list Berlekamp
 kernels are the elimination and the Frobenius loop that the packed-integer
 rows in `factorq` replaced, kept entry by entry so the two can be compared,
 and `fraction_divmod` is the long division over Q that `Poly.__divmod__`
-replaced with a scaled division in Z[x].  `symmetric_functions` expands
+replaced with a scaled division in Z[x] and `Poly.exact_div` with one
+division by the divisor's primitive part.  `symmetric_functions` expands
 e_1..e_N of a cycle for the span computation `subfield_degree`, which
 recomputes the orbit field degree D0 that the decision layer gets from the
 cycle's stabiliser, and `owner_search_merge` is the merge that collected the

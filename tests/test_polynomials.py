@@ -180,6 +180,12 @@ class TestExactDiv:
         with pytest.raises(PolynomialZeroDivisionError):
             (Z**2 + 1).exact_div(Poly.zero())
 
+    def test_divisor_types(self):
+        assert (Z * 6 - 3).exact_div(3) == Z * 2 - 1
+        assert (Z * 6 - 3).exact_div(Fraction(-3, 4)) == Z * -8 + 4
+        with pytest.raises(TypeError):
+            Z.exact_div("z")
+
     def test_roundtrip_500_random(self):
         rng = random.Random(2024)
         for _ in range(500):
