@@ -15,7 +15,7 @@ from .rationals import (
     naive_height,
     parse_rational,
 )
-from .polynomials import BiPoly, Poly, format_bipoly, format_poly, parse_poly
+from .polynomials import Poly, format_bipoly, format_poly, parse_poly
 from .factorq import Factorization, factor_over_q
 from .numberfield import (
     AlgElement,
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgElement",
-    "BiPoly",
     "CycleRecord",
     "Factorization",
     "MapSpec",

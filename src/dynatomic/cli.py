@@ -139,9 +139,9 @@ def _require(parser_condition: bool, message: str) -> None:
 def cmd_phi(args) -> int:
     _require(args.degree >= 2, "map degree must be >= 2")
     if args.generic:
-        poly = dynatomic_poly_generic(args.degree, args.period)
-        print(f"# degree {poly.degree()}")
-        print(format_bipoly(poly))
+        coeffs = dynatomic_poly_generic(args.degree, args.period)
+        print(f"# degree {len(coeffs) - 1}")
+        print(format_bipoly(coeffs))
     else:
         poly = dynatomic_poly(MapSpec(args.degree, args.c), args.period)
         print(f"# degree {poly.degree()}")

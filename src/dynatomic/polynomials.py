@@ -1,8 +1,10 @@
 """Dense exact polynomial arithmetic.
 
 `Poly` is a univariate polynomial over Q stored, like `numberfield.AlgElement`,
-as integer numerators by power over one denominator (`_Scaled`).  `BiPoly` is a
-polynomial in z whose coefficients are `Poly` objects in c, i.e. Q[c][z].
+as integer numerators by power over one denominator (`_Scaled`).  A polynomial
+in z over Q[c] is the tuple of its coefficients, `Poly`s in c, z^0 first; it is
+built in Q[z] by Kronecker substitution (`maps.dynatomic_poly_generic`) and only
+printed here (`format_bipoly`).
 
 Multiplication convolves the numerators as machine-free Python ints, by one
 Kronecker-substitution product, or term by term against the packed long
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
@@ -193,7 +194,7 @@ def _power(base, n: int):
 
 
 class _Dense:
-    """Operator plumbing of `Poly`, `BiPoly`, `numberfield.AlgElement` and `QuadraticElement`.
+    """Operator plumbing of `Poly`, `numberfield.AlgElement` and `QuadraticElement`.
 
     Instances are immutable.  A subclass supplies `__add__`, `__neg__`,
     `__mul__` and a `_coerce` that turns an operand into an element of its
@@ -205,9 +206,6 @@ class _Dense:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self.coeffs)!r})"
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -359,9 +357,6 @@ class Poly(_Scaled):
     def is_constant(self) -> bool:
         return len(self._nums) <= 1
 
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficient(len(self._nums) - 1)
-
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
@@ -374,6 +369,9 @@ class Poly(_Scaled):
 
     def __str__(self) -> str:
         return format_poly(self)
+
+    def __repr__(self) -> str:
+        return f"Poly({list(self.coeffs)!r})"
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction, int, and any ring element.
@@ -530,12 +528,16 @@ def _zz_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]
 
     None as soon as a quotient coefficient is not an integer, which happens
     exactly when the quotient over Q leaves Z[x].  f may carry trailing
-    zeros; g may not.
+    zeros; g may not.  Each quotient term touches only the nonzero terms of g
+    (the image of a Kronecker substitution has long gaps), listed only when
+    the quotient is nonempty: `QuotientAlgebra` reduces after every addition,
+    where it is empty.
     """
     rem = list(f)
     dg = len(g) - 1
     lcg = g[-1]
     quot = [0] * max(len(rem) - dg, 0)
+    terms = [(i, gi) for i, gi in enumerate(g[:-1]) if gi] if quot else []
     for k in range(len(quot) - 1, -1, -1):
         c = rem.pop()  # the term of degree k + dg, cancelled by q*x^k*g
         if c:
@@ -543,8 +545,8 @@ def _zz_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]
             if m:
                 return None
             quot[k] = q
-            for i in range(dg):
-                rem[k + i] -= q * g[i]
+            for i, gi in terms:
+                rem[k + i] -= q * gi
     return _zz_normalize(quot), _zz_normalize(rem)
 
 
@@ -667,117 +669,6 @@ def _gf_gcd(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
     return _gf_monic(a, p) if a else []
 
 
-# -- bivariate layer -------------------------------------------------------
-
-
-class BiPoly(_Dense):
-    """Polynomial in z with coefficients in Q[c], stored dense in z."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Poly] = ()):
-        cs = [c if isinstance(c, Poly) else Poly.constant(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __reduce__(self):
-        return (BiPoly, (self.coeffs,))
-
-    @staticmethod
-    def _coerce(value) -> BiPoly:
-        if isinstance(value, BiPoly):
-            return value
-        if isinstance(value, (int, Fraction, Poly)):
-            return BiPoly((value,))
-        return NotImplemented
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls(())
-
-    def degree(self) -> int:
-        """Degree in z; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        # a constant equals the Poly it holds, so it must hash like it too
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
-
-    def __add__(self, other) -> BiPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BiPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly([-c for c in self.coeffs])
-
-    @classmethod
-    def identity(cls) -> BiPoly:
-        """The polynomial z."""
-        return cls((Poly.zero(), Poly.one()))
-
-    @classmethod
-    def parameter(cls) -> BiPoly:
-        """The polynomial c (constant in z)."""
-        return cls((Poly.identity(),))
-
-    def __str__(self) -> str:
-        return format_bipoly(self)
-
-    def __mul__(self, other) -> BiPoly:
-        other = BiPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = [Poly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
-
-    def exact_div(self, other: BiPoly) -> BiPoly:
-        """Exact long division in Q[c][z]; every coefficient step must divide exactly."""
-        if other.is_zero():
-            raise PolynomialZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return BiPoly.zero()
-        if self.degree() < other.degree():
-            raise NonExactDivisionError("dividend degree below divisor degree")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lc = div[-1]
-        quot = [Poly.zero()] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c.is_zero():
-                continue
-            q = c.exact_div(lc)
-            quot[k - dd] = q
-            for i in range(dd + 1):
-                rem[k - dd + i] = rem[k - dd + i] - q * div[i]
-        if any(not r.is_zero() for r in rem):
-            raise NonExactDivisionError("nonzero remainder in bivariate division")
-        return BiPoly(quot)
-
-
 # -- canonical text form ---------------------------------------------------
 
 
@@ -839,10 +730,10 @@ def _bipoly_term(coeff: Poly, power: int) -> tuple[str, str]:
     return "+", f"{body}*{pw}" if pw else body
 
 
-def format_bipoly(p: BiPoly) -> str:
-    """Canonical text of a polynomial in z over Q[c], e.g. "z^2 + z + (c + 1)"."""
+def format_bipoly(coeffs: Sequence[Poly]) -> str:
+    """Canonical text of sum coeffs_i(c) * z^i, e.g. "z^2 + z + (c + 1)" for (c + 1, 1, 1)."""
     return _join_terms(
-        _bipoly_term(coeff, power) for power, coeff in reversed(list(enumerate(p.coeffs))) if coeff
+        _bipoly_term(coeff, power) for power, coeff in reversed(list(enumerate(coeffs))) if coeff
     )
 
 

@@ -77,7 +77,7 @@ from dynatomic.factorq import (
 from dynatomic.maps import MapSpec
 from dynatomic.numberfield import AlgElement, QuotientAlgebra, minimal_polynomial
 from dynatomic.polynomials import (
-    BiPoly, Poly, _convolve, _gf_divmod, _gf_mul, _trunc_sym, _zz_divmod, _zz_primitive,
+    Poly, _convolve, _gf_divmod, _gf_mul, _trunc_sym, _zz_divmod, _zz_primitive,
 )
 from dynatomic.rationals import smallest_prime_factor
 
@@ -599,9 +599,9 @@ def iterate(spec: MapSpec, n: int) -> Poly:
     return h
 
 
-def evaluate_c(f: BiPoly, c: Fraction) -> Poly:
-    """f(z, c) at a rational c: each coefficient sum a_i c^i, a polynomial in z."""
-    return Poly([sum(a * c**i for i, a in enumerate(g.coeffs)) for g in f.coeffs])
+def evaluate_c(coeffs: Sequence[Poly], c: Fraction) -> Poly:
+    """sum coeffs_j(c) z^j at a rational c: each coefficient sum a_i c^i, a polynomial in z."""
+    return Poly([sum(a * c**i for i, a in enumerate(g.coeffs)) for g in coeffs])
 
 
 def orbit_record(factor: Poly, spec: MapSpec) -> CycleRecord:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from dynatomic.cli import main
 
@@ -19,6 +22,26 @@ class TestPhi:
         code, out, _ = run_cli(capsys, "phi", "-d", "2", "-N", "2", "--generic")
         assert code == 0
         assert out.splitlines()[-1] == "z^2 + z + (c + 1)"
+
+    @pytest.mark.parametrize("d, n, text", [
+        (2, 3, "# degree 6\n"
+               "z^6 + z^5 + (3*c + 1)*z^4 + (2*c + 1)*z^3 + (3*c^2 + 3*c + 1)*z^2"
+               " + (c^2 + 2*c + 1)*z + (c^3 + 2*c^2 + c + 1)\n"),
+        (3, 2, "# degree 6\nz^6 + z^4 + 2*c*z^3 + z^2 + c*z + (c^2 + 1)\n"),
+    ])
+    def test_generic_text(self, capsys, d, n, text):
+        assert run_cli(capsys, "phi", "-d", str(d), "-N", str(n), "--generic")[:2] == (0, text)
+
+    @pytest.mark.parametrize("d, n, digest", [
+        (2, 6, "9dcf8ce3111f4a5d58d0440df8e6c4afd349bdebe40f24599be2762a7d668420"),
+        (3, 4, "94a98950d07ea03f58fce3d43a4dd8165348ba386926e347a68a6812cd7abd16"),
+        (4, 3, "125b5b6ca3953aa54a9100392663e5c55c27f33eb88988d5eed18996b69471fe"),
+    ])
+    def test_generic_digest(self, capsys, d, n, digest):
+        # sha256 of the stdout that the bivariate Q[c][z] build printed
+        code, out, _ = run_cli(capsys, "phi", "-d", str(d), "-N", str(n), "--generic")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_degree_header_for_big_case(self, capsys):
         code, out, _ = run_cli(capsys, "phi", "-d", "2", "-N", "6", "-c", "-71/48")

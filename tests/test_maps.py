@@ -83,7 +83,8 @@ class TestDynatomicPoly:
 
     def test_monic(self):
         for n in (1, 2, 3, 4):
-            assert dynatomic_poly(MapSpec(2, Fraction(3, 5)), n).leading_coefficient() == 1
+            f = dynatomic_poly(MapSpec(2, Fraction(3, 5)), n)
+            assert f.coefficient(f.degree()) == 1
 
 
 PINNED_C = [Fraction(-71, 48), Fraction(7, 10), Fraction(-9, 10), Fraction(1, 3)]
@@ -190,6 +191,19 @@ class TestDynatomicGeneric:
             d, n = pool[rng.randrange(len(pool))]
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             assert evaluate_c(dynatomic_poly_generic(d, n), c) == dynatomic_poly(MapSpec(d, c), n)
+
+    def test_agrees_at_enough_points_to_prove_the_identity(self):
+        # Phi_n has c-degree at most D // d, since z -> z^d + c is weighted-homogeneous
+        # with weight(c) = d; so two polynomials of that c-degree that agree at D // d + 1
+        # values of c are equal
+        pairs = [(d, n) for d in range(2, 127) for n in range(1, 8) if dynatomic_degree(d, n) <= 126]
+        for d, n in pairs:
+            deg = dynatomic_degree(d, n)
+            coeffs = dynatomic_poly_generic(d, n)
+            assert len(coeffs) == deg + 1 and coeffs[-1] == 1
+            assert max(g.degree() for g in coeffs) <= deg // d, (d, n)
+            for c in itertools.islice(enumerate_rationals_by_height(deg), deg // d + 1):
+                assert evaluate_c(coeffs, c) == dynatomic_poly(MapSpec(d, c), n), (d, n, c)
 
 
 class TestDynatomicDegree:

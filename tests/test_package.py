@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -50,6 +51,21 @@ def test_every_public_function_has_a_caller_in_the_package():
     # perfbench/inproc.py wraps `property_a.subfield_degree` for its trace span,
     # so property_a re-exports it though the decision layer no longer calls it
     assert sorted(public - used) == [("numberfield", "subfield_degree")]
+    # a public method of a class is read as an attribute somewhere in the
+    # package, or overrides a method of a base class from outside it
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        classes = vars(importlib.import_module(f"dynatomic.{module}"))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            outside = [base for base in classes[cls.name].__mro__[1:]
+                       if not base.__module__.startswith("dynatomic")]
+            unread += [f"{module}.{cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                       and node.name not in read
+                       and not any(node.name in vars(base) for base in outside)]
+    assert unread == []
 
 
 def test_only_polynomials_packs_slots():
