@@ -309,7 +309,7 @@ class TestGaussDivision:
         assert (f * g).exact_div(g) == f
         assert f.exact_div(Poly.constant(Fraction(-10, 3**9))) == f * Fraction(-3**9, 10)
         assert dynatomic_poly(MapSpec(3, Fraction(-10, 9)), 6).degree() == 696
-        assert len(dynatomic_poly_generic(3, 4)) == 73  # the image under c -> z^K
+        assert len(dynatomic_poly_generic(3, 4)) == 73  # read out of its image under c -> z^K
 
 
 # small integer vectors cancel often: sums with trailing zeros, zero products, den = 1
