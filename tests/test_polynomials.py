@@ -839,6 +839,21 @@ class TestTextForm:
         assert parse_poly(f"z^{DEGREE_GUARD + 1} + z - z^{DEGREE_GUARD + 1}") == Z
 
 
+class TestBiPoly:
+    """Arithmetic in Q[c][z], run on the images in Q[z] under c -> z^K."""
+
+    def test_second_dynatomic_division(self):
+        k = 5  # above every z-degree below, so z^i c^j lands alone on z^(i + k*j)
+        z, c = Z, Z**k
+        numerator = z**4 + (c + c) * z * z - z + c * c + c
+        denominator = z * z - z + c
+        quotient = numerator.exact_div(denominator)
+        assert quotient == z * z + z + c + 1
+        # read back at stride k: z^2 + z + (c + 1)
+        coeffs = quotient.coeffs
+        assert [Poly(coeffs[i::k]) for i in range(k)] == [Z + 1, Poly.one(), Poly.one(), 0, 0]
+
+
 class TestRingBasics:
     @settings(max_examples=150)
     @given(
